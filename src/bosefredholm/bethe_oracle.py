@@ -12,8 +12,14 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import InvalidState
-from .kernels import BoundaryKind
-from .special_integrals import DEFAULT_POLICY, gauss_panels, richardson_sequence
+from .kernels import BoundaryKind, _sinc
+from .special_integrals import (
+    DEFAULT_POLICY,
+    damped_limit,
+    damped_weights,
+    gauss_panels,
+    richardson_sequence,
+)
 
 
 @dataclass(frozen=True)
@@ -325,15 +331,10 @@ def finite_L_correlation(sys, x1, x2, t, lam_max, policy=DEFAULT_POLICY, h=0.0,
     phases = np.exp(1j * t * (lam_sq - mu_sq))
     if t == 0.0 or not damped:
         return complex(np.sum(base_terms * phases) * np.exp(-1j * h * t))
-    estimates = [np.sum(base_terms * phases * np.exp(-d * lam_sq)) for d in policy.deltas]
-    limit, _ = richardson_sequence(estimates)
+    # damped on the intermediate energies: node sqrt(lam_sq), unit weight
+    damped = damped_weights(np.sqrt(lam_sq), np.ones(len(lam_sq)), policy.deltas)
+    limit = damped_limit(base_terms * phases, damped)
     return complex(limit * np.exp(-1j * h * t))
-
-
-def _sinc_arr(x, u):
-    small = np.abs(u) < 1e-12
-    safe = np.where(small, 1.0, u)
-    return np.where(small, x, np.sin(x * safe) / safe)
 
 
 def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0,
@@ -360,10 +361,10 @@ def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0
     base_phase = np.exp(1j * t * s * s)
 
     # sinc tables over the whole lattice (N x S)
-    s1m = _sinc_arr(x1, s[None, :] - mus[:, None])
-    s1p = _sinc_arr(x1, s[None, :] + mus[:, None])
-    s2m = _sinc_arr(x2, s[None, :] - mus[:, None])
-    s2p = _sinc_arr(x2, s[None, :] + mus[:, None])
+    s1m = _sinc(x1, s[None, :] - mus[:, None])
+    s1p = _sinc(x1, s[None, :] + mus[:, None])
+    s2m = _sinc(x2, s[None, :] - mus[:, None])
+    s2p = _sinc(x2, s[None, :] + mus[:, None])
     e1 = np.exp(-1j * s * x1)
     e2 = np.exp(-1j * s * x2)
 
@@ -375,8 +376,8 @@ def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0
     kron = (iarr[:, None] == iarr[None, :]).astype(float)
 
     estimates = []
-    for d in policy.deltas:
-        dp = np.exp(-d * s * s) * base_phase
+    for damp in damped_weights(s, np.ones(len(s)), policy.deltas).T:
+        dp = damp * base_phase
         pref = (np.sum(dp * np.exp(-1j * s * (x1 - x2)))
                 + eps * np.sum(dp * np.exp(-1j * s * (x1 + x2)))) / (2.0 * L)
         if N == 0:
@@ -390,11 +391,11 @@ def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0
             + eps * ((2.0 / math.pi) * step * ((dp * e2) @ s1p.T) - ph_mu * np.exp(1j * mus * x2)))
         ssum_p = (s2m * dp[None, :]) @ s1m.T     # rows j (x2 partner), cols k (x1 partner)
         ssum_m = (s2m * dp[None, :]) @ s1p.T
-        part_p = (np.exp(1j * t * lamj ** 2) * _sinc_arr(x1, lamj - muk)
-                  + np.exp(1j * t * muk ** 2) * _sinc_arr(x2, lamj - muk)
+        part_p = (np.exp(1j * t * lamj ** 2) * _sinc(x1, lamj - muk)
+                  + np.exp(1j * t * muk ** 2) * _sinc(x2, lamj - muk)
                   - (2.0 / math.pi) * step * ssum_p)
-        part_m = (np.exp(1j * t * lamj ** 2) * _sinc_arr(x1, lamj + muk)
-                  + np.exp(1j * t * muk ** 2) * _sinc_arr(x2, lamj + muk)
+        part_m = (np.exp(1j * t * lamj ** 2) * _sinc(x1, lamj + muk)
+                  + np.exp(1j * t * muk ** 2) * _sinc(x2, lamj + muk)
                   - (2.0 / math.pi) * step * ssum_m)
         M = kron - (2.0 / L) * np.exp(-0.5j * t * (lamj ** 2 + muk ** 2)) * (part_p + eps * part_m) / norm
         estimates.append(pref * np.linalg.det(M) + eps / (2.0 * L) * _bordered_det(M, u, v))

@@ -89,39 +89,44 @@ def _record(point, value, det, deriv, err, n, trunc, deltas, flag, ms):
     }
 
 
-def emit(records, fmt, path, digits=15):
-    """Write records as CSV (fixed header) or a JSON array."""
-    if not records:
-        raise CliError("no records to emit")
+def _write_output(text, path):
+    """Write text to the file at path, or to stdout when path is empty."""
     try:
-        out = open(path, "w") if path else sys.stdout
-        try:
-            if fmt == "csv":
-                out.write(CSV_HEADER + "\n")
-                for r in records:
-                    fields = []
-                    for key in CSV_HEADER.split(","):
-                        v = r[key]
-                        fields.append(_fmt(v, digits) if isinstance(v, float) else str(v))
-                    out.write(",".join(fields) + "\n")
-            else:
-                cooked = []
-                for r in records:
-                    c = {}
-                    for k, v in r.items():
-                        c[k] = float(_fmt(v, digits)) if isinstance(v, float) else v
-                    cooked.append(c)
-                json.dump(cooked, out, indent=1)
-                out.write("\n")
-        finally:
-            if path:
-                out.close()
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def emit(records, fmt, path, digits=15):
+    """Write records as CSV (fixed header) or a JSON array."""
+    if not records:
+        raise CliError("no records to emit")
+    if fmt == "csv":
+        lines = [CSV_HEADER]
+        for r in records:
+            fields = []
+            for key in CSV_HEADER.split(","):
+                v = r[key]
+                fields.append(_fmt(v, digits) if isinstance(v, float) else str(v))
+            lines.append(",".join(fields))
+        text = "\n".join(lines) + "\n"
+    else:
+        cooked = []
+        for r in records:
+            c = {}
+            for k, v in r.items():
+                c[k] = float(_fmt(v, digits)) if isinstance(v, float) else v
+            cooked.append(c)
+        text = json.dumps(cooked, indent=1) + "\n"
+    _write_output(text, path)
+
+
 def _one_correlate(task):
-    (x1, x2, t, T, h, D, eps), n, damping, orders, tol = task
+    (x1, x2, t, T, h, D, eps), n, tol = task
     kind = _eps_kind(eps)
     start = time.perf_counter()
     flag = ""
@@ -137,13 +142,11 @@ def _one_correlate(task):
         ms = 1000.0 * (time.perf_counter() - start)
         return _record((x1, x2, t, T, h, D, eps), res.value, res.det_part,
                        res.derivative_part, res.error_estimate, res.grid_size,
-                       res.truncation, RegularizationPolicy(damping, orders).deltas,
-                       flag, ms), None
+                       res.truncation, (), flag, ms), None
     except ConvergenceFailure as exc:
         ms = 1000.0 * (time.perf_counter() - start)
         rec = _record((x1, x2, t, T, h, D, eps), float("nan"), float("nan"),
-                      float("nan"), float("nan"), n, 0.0,
-                      RegularizationPolicy(damping, orders).deltas,
+                      float("nan"), float("nan"), n, 0.0, (),
                       "convergence-failure", ms)
         return rec, exc
 
@@ -167,7 +170,7 @@ def _workers():
 
 def cmd_correlate(args):
     points = _scan_points(args)
-    tasks = [(p, args.n, args.damping, args.orders, args.tol) for p in points]
+    tasks = [(p, args.n, args.tol) for p in points]
     workers = _workers()
     results = [None] * len(tasks)
     if workers > 1 and len(tasks) > 1:
@@ -254,15 +257,7 @@ def cmd_kernel_dump(args):
                 raise CliError(f"unknown kernel {name!r}")
             rows.append(f"{i},{j},{_fmt(lam, args.digits)},{_fmt(mu, args.digits)},"
                         f"{_fmt(v.real, args.digits)},{_fmt(v.imag, args.digits)}")
-    try:
-        out = open(args.output, "w") if args.output else sys.stdout
-        try:
-            out.write("\n".join(rows) + "\n")
-        finally:
-            if args.output:
-                out.close()
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    _write_output("\n".join(rows) + "\n", args.output)
     return 0
 
 
@@ -272,15 +267,7 @@ def cmd_oracle(args):
     report = oracle_checks(quick=not args.full)
     payload = {"suite": "oracle", "checks": report,
                "passed": all(c["passed"] for c in report)}
-    text = json.dumps(payload, indent=1) + "\n"
-    try:
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    _write_output(json.dumps(payload, indent=1) + "\n", args.output)
     return 0 if payload["passed"] else 2
 
 
@@ -304,15 +291,7 @@ def cmd_lax_check(args):
         "b_re": np.real(mats.b).tolist(),
         "b_im": np.imag(mats.b).tolist(),
     }
-    text = json.dumps(payload, indent=1) + "\n"
-    try:
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    _write_output(json.dumps(payload, indent=1) + "\n", args.output)
     return 0
 
 
@@ -322,15 +301,7 @@ def cmd_validate(args):
     report = run_suite(args.suite)
     payload = {"suite": args.suite, "checks": report,
                "passed": all(c["passed"] for c in report)}
-    text = json.dumps(payload, indent=1) + "\n"
-    try:
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    _write_output(json.dumps(payload, indent=1) + "\n", args.output)
     return 0 if payload["passed"] else 2
 
 
@@ -339,14 +310,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_common(sub, n_default=64):
-    sub.add_argument("--n", type=int, default=n_default, help="quadrature nodes")
+def _add_n(sub, default=64):
+    sub.add_argument("--n", type=int, default=default, help="quadrature nodes")
+
+
+def _add_policy(sub):
     sub.add_argument("--damping", type=float, default=1e-2, help="largest damping delta")
     sub.add_argument("--orders", type=int, default=3, help="number of damping halvings")
-    sub.add_argument("--tol", type=float, default=1e-14, help="truncation tolerance")
+
+
+def _add_output(sub):
     sub.add_argument("--output", default="", help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_digits(sub):
     sub.add_argument("--digits", type=int, default=15, help="significant digits")
+
+
+def _add_records(sub):
+    """Output flags of the commands that emit correlator records."""
+    _add_output(sub)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_digits(sub)
 
 
 def make_parser():
@@ -362,7 +347,9 @@ def make_parser():
     c.add_argument("--T", type=float, default=0.0)
     c.add_argument("--h", type=float, default=1.0)
     c.add_argument("--D", type=float, default=0.0)
-    _add_common(c)
+    _add_n(c)
+    c.add_argument("--tol", type=float, default=1e-14, help="truncation tolerance")
+    _add_records(c)
     c.set_defaults(func=cmd_correlate)
 
     s = subs.add_parser("static", help="equal-time correlator (first minor)")
@@ -371,7 +358,8 @@ def make_parser():
     s.add_argument("--x2", required=True)
     s.add_argument("--T", type=float, default=0.0)
     s.add_argument("--h", type=float, default=1.0)
-    _add_common(s)
+    _add_n(s)
+    _add_records(s)
     s.set_defaults(func=cmd_static)
 
     b = subs.add_parser("boundary", help="x1=0 Neumann route via the b matrix")
@@ -381,13 +369,16 @@ def make_parser():
     b.add_argument("--h", type=float, default=1.0)
     b.add_argument("--D", type=float, default=0.0)
     b.add_argument("--n-spectral", type=int, default=32)
-    _add_common(b)
+    _add_n(b)
+    _add_policy(b)
+    _add_records(b)
     b.set_defaults(func=cmd_boundary)
 
     d = subs.add_parser("density", help="density D(T)")
     d.add_argument("--T", required=True)
     d.add_argument("--h", required=True)
-    _add_common(d, n_default=400)
+    _add_n(d, default=400)
+    _add_records(d)
     d.set_defaults(func=cmd_density)
 
     k = subs.add_parser("kernel-dump", help="dump a kernel matrix to CSV")
@@ -401,12 +392,14 @@ def make_parser():
     k.add_argument("--D", type=float, default=1.0)
     k.add_argument("--a", type=float, default=0.0)
     k.add_argument("--b", type=float, default=3.0)
-    _add_common(k, n_default=16)
+    _add_n(k, default=16)
+    _add_output(k)
+    _add_digits(k)
     k.set_defaults(func=cmd_kernel_dump)
 
     o = subs.add_parser("oracle", help="finite-size oracle checks (JSON report)")
     o.add_argument("--full", action="store_true")
-    o.add_argument("--output", default="")
+    _add_output(o)
     o.set_defaults(func=cmd_oracle)
 
     x = subs.add_parser("lax-check", help="Lax compatibility residuals")
@@ -416,12 +409,14 @@ def make_parser():
     x.add_argument("--T", type=float, default=0.0)
     x.add_argument("--h", type=float, default=1.0)
     x.add_argument("--D", type=float, default=0.7)
-    _add_common(x, n_default=16)
+    _add_n(x, default=16)
+    _add_policy(x)
+    _add_output(x)
     x.set_defaults(func=cmd_lax_check)
 
     v = subs.add_parser("validate", help="invariant suite (JSON report)")
     v.add_argument("--suite", default="fast", choices=("fast", "all"))
-    v.add_argument("--output", default="")
+    _add_output(v)
     v.set_defaults(func=cmd_validate)
     return parser
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fredholm import thermal_cut
 from .special_integrals import (
     fresnel_kink_integral,
     gauss_panels,
@@ -183,7 +184,7 @@ def kernel_theta(xi, eta, kind, p, n_panels=60):
     if p.T == 0.0:
         out = kernel_K_static(xi, eta, kind, math.sqrt(p.h))
         return out
-    cut = math.sqrt(p.h + p.T * math.log(1e16)) + 1.0
+    cut = thermal_cut(p.h, p.T)
     nu, w = gauss_panels(0.0, cut, n_panels)
     th = fermi_weight(nu, p) * w
     a = (xi - eta)[..., None]

@@ -7,16 +7,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDelta
-from .fredholm import DiscretizedOperator, build_grid
+from .fredholm import DiscretizedOperator, build_grid, thermal_cut
 from .kernels import fermi_weight
 from .special_integrals import (
     FINE_POLICY,
     RegularizationPolicy,
+    damped_limit,
+    damped_weights,
     gaussian_fresnel,
     graded_line_grid,
     pv_fresnel_hilbert,
     pv_fresnel_hilbert_dlam,
-    richardson_sequence,
 )
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -164,15 +165,22 @@ def adapt_policy(cfg, policy):
 
 
 def _line_grid(cfg, policy):
-    return graded_line_grid(policy.tail_cut, cfg.phase_scale)
+    """Line grid (nodes, damped-weight matrix) of the whole-line integrals:
+    graded for the phases of cfg, truncated and damped by the policy."""
+    nodes, weights = graded_line_grid(policy.tail_cut, cfg.phase_scale)
+    return nodes, damped_weights(nodes, weights, policy.deltas)
 
 
-def _damped(vals, nodes, weights, deltas):
-    """Richardson-extrapolated damped contraction along the last axis."""
-    estimates = []
-    for d in deltas:
-        estimates.append(vals @ (weights * np.exp(-d * nodes * nodes)))
-    return richardson_sequence(estimates)[0]
+def _adapted_line_grid(cfg, policy, line_grid):
+    """The given line grid, or the one of cfg under its adapted policy."""
+    if line_grid is None:
+        line_grid = _line_grid(cfg, adapt_policy(cfg, policy))
+    return line_grid
+
+
+def _block_size(ns):
+    """Spectral nodes per block: a (block, ns) array holds about 4e6 entries."""
+    return max(1, 4_000_000 // max(ns, 1))
 
 
 def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
@@ -183,10 +191,7 @@ def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
     applications use the damping policy on an oscillation-graded grid.
     """
     a1, a2 = build_aux_fields(cfg)
-    if line_grid is None:
-        policy = adapt_policy(cfg, policy)
-        line_grid = _line_grid(cfg, policy)
-    S, W = line_grid
+    S, D = _adapted_line_grid(cfg, policy, line_grid)
     lam = np.asarray(lam_grid, dtype=float)
     n = len(lam)
 
@@ -201,19 +206,20 @@ def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
     rowS2 = a2.row_phase(S)
     compL = np.empty((n, 2), dtype=complex)
     compR = np.empty((2, n), dtype=complex)
-    chunk = max(1, 4_000_000 // max(len(S), 1))
+    chunk = _block_size(len(S))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         block = lam[lo:hi]
         K1 = a1.row_phase(block)[:, None] * colS1[None, :] \
             * a1.hilbert_diffquot(block[:, None], S[None, :])
         for c in range(2):
-            compL[lo:hi, c] = _damped(K1 * e2Ls[:, c][None, :], S, W, policy.deltas)
+            compL[lo:hi, c] = damped_limit(K1 * e2Ls[:, c][None, :], D)
+        del K1   # one (block, ns) kernel block alive at a time: peak memory
         # right action: integrate over the row variable of K2
         K2 = rowS2[:, None] * a2.col_phase(block)[None, :] \
             * a2.hilbert_diffquot(S[:, None], block[None, :])
         for c in range(2):
-            compR[c, lo:hi] = _damped((e1Rs[c][:, None] * K2).T, S, W, policy.deltas)
+            compR[c, lo:hi] = damped_limit((e1Rs[c][:, None] * K2).T, D)
     EL[:, 2:] = a2.e_left(lam) + (2.0 / math.pi) * compL
     ER[:2, :] = a1.e_right(lam) + (2.0 / math.pi) * compR
     return EL, ER
@@ -226,8 +232,6 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
     distribution: DegenerateDelta when strict, entry 0 with a flag otherwise.
     """
     a1, a2 = build_aux_fields(cfg)
-    if line_grid is None:
-        policy = adapt_policy(cfg, policy)
     Q = np.zeros((4, 4), dtype=complex)
     degenerate = []
     for block, aux in ((0, a1), (2, a2)):
@@ -239,14 +243,12 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
             g = 0.0
             degenerate.append((block, block + 1))
         Q[block:block + 2, block:block + 2] = -g * SIGMA_PLUS
-    if line_grid is None:
-        line_grid = _line_grid(cfg, policy)
-    S, W = line_grid
-    e1Rs = build_aux_fields(cfg)[0].e_right(S)   # (2, ns)
-    e2Ls = build_aux_fields(cfg)[1].e_left(S)    # (ns, 2)
+    S, D = _adapted_line_grid(cfg, policy, line_grid)
+    e1Rs = a1.e_right(S)   # (2, ns)
+    e2Ls = a2.e_left(S)    # (ns, 2)
     for r in range(2):
         for c in range(2):
-            Q[r, 2 + c] = -_damped((e1Rs[r] * e2Ls[:, c])[None, :], S, W, policy.deltas)[0]
+            Q[r, 2 + c] = -damped_limit(e1Rs[r] * e2Ls[:, c], D)
     return Q, degenerate
 
 
@@ -273,7 +275,7 @@ def _spectral_grid(ensemble, n):
     if p.T == 0.0:
         quad = build_grid((-ensemble.q, ensemble.q), n)
         return quad, None
-    cut = math.sqrt(p.h + p.T * math.log(1e14))
+    cut = thermal_cut(p.h, p.T)
     quad = build_grid((-cut, cut), n)
     return quad, lambda lam: fermi_weight(lam, p)
 
@@ -288,12 +290,10 @@ def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_g
     a1, a2 = build_aux_fields(cfg)
     lam = quadrature.nodes
     n = len(lam)
-    if line_grid is None:
-        policy = adapt_policy(cfg, policy)
-        line_grid = _line_grid(cfg, policy)
-    S, W = line_grid
+    line_grid = _adapted_line_grid(cfg, policy, line_grid)
+    S, D = line_grid
     if e_vectors is None:
-        EL, ER = build_E_vectors(cfg, lam, policy=policy, line_grid=line_grid)
+        EL, ER = build_E_vectors(cfg, lam, line_grid=line_grid)
     else:
         EL, ER = e_vectors
     num = EL @ ER
@@ -304,7 +304,7 @@ def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_g
     # diagonal: -A1 B1 G1' - A2 B2 G2' - (2/pi) * cross integral
     cross = np.empty(n, dtype=complex)
     mids = a1.col_phase(S) * a2.row_phase(S)
-    chunk = max(1, 4_000_000 // max(len(S), 1))
+    chunk = _block_size(len(S))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         block = lam[lo:hi]
@@ -312,7 +312,7 @@ def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_g
                  * mids[None, :]
                  * a1.hilbert_diffquot(block[:, None], S[None, :])
                  * a2.hilbert_diffquot(S[None, :], block[:, None]))
-        cross[lo:hi] = _damped(integ, S, W, policy.deltas)
+        cross[lo:hi] = damped_limit(integ, D)
     diag = (-a1.row_phase(lam) * a1.col_phase(lam) * a1.hilbert_deriv(lam)
             - a2.row_phase(lam) * a2.col_phase(lam) * a2.hilbert_deriv(lam)
             - (2.0 / math.pi) * cross)
@@ -325,19 +325,19 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     """b = B + Q with B_{jk} = integral of F_j^R E_k^L over the spectral domain.
 
     F^R solves the transposed resolvent system F^R (1 - (2/pi) M-hat) = E^R.
+    A given line_grid (nodes, damped-weight matrix) replaces the one built
+    for cfg under adapt_policy(cfg, policy).
     """
     quad, weight_fn = _spectral_grid(ensemble, n)
-    if line_grid is None:
-        policy = adapt_policy(cfg, policy)
-        line_grid = _line_grid(cfg, policy)
-    EL, ER = build_E_vectors(cfg, quad.nodes, policy=policy, line_grid=line_grid)
-    op = build_M_operator(cfg, quad, weight_fn=weight_fn, policy=policy,
-                          line_grid=line_grid, e_vectors=(EL, ER))
+    line_grid = _adapted_line_grid(cfg, policy, line_grid)
+    EL, ER = build_E_vectors(cfg, quad.nodes, line_grid=line_grid)
+    op = build_M_operator(cfg, quad, weight_fn=weight_fn, line_grid=line_grid,
+                          e_vectors=(EL, ER))
     w = op.effective_weights()
     amat = np.eye(n) - op.scale * (op.matrix.T * w[None, :])
     FR = np.linalg.solve(amat, ER.T).T          # (4, n)
     B = np.einsum('i,ji,ik->jk', w, FR, EL)
-    Q, degenerate = build_Q(cfg, policy=policy, strict=False, line_grid=line_grid)
+    Q, degenerate = build_Q(cfg, strict=False, line_grid=line_grid)
     return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate)
 
 
@@ -364,8 +364,9 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None,
     """Max-norm residuals of d_{t_j} L_k - d_{y_k} M_j + [L_k, M_j] = 0.
 
     Derivatives of b are three-point central differences with the given
-    step; all stencil evaluations share one line grid so the quadrature
-    bias differentiates smoothly.  Returns a (4, 4) array of per-(j,k)
+    step; all stencil evaluations share one line grid, built once under the
+    policy as given (not adapted), so the quadrature bias differentiates
+    smoothly.  Returns a (4, 4) array of per-(j,k)
     residual norms, maximized over mu values.
     """
     policy = policy or FINE_POLICY
@@ -374,7 +375,7 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None,
 
     def bb(dy=None, dt=None):
         c = cfg.shifted(dy=dy, dt=dt)
-        return build_b(c, ensemble, n=n, policy=policy, line_grid=line_grid).b
+        return build_b(c, ensemble, n=n, line_grid=line_grid).b
 
     b0 = bb()
     bp, bm = {}, {}

@@ -19,43 +19,31 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """Arguments of the quadratic phase i*t*s^2 - i*x*s."""
-
-    s: float
-    x: float
-    t: float
-
-
-@dataclass(frozen=True)
 class RegularizationPolicy:
     """Damping schedule for conditionally convergent integrals and sums.
 
     damping             largest Gaussian damping exponent delta
     extrapolation_orders  number of delta values (halved successively)
-    tail_cut            truncation of infinite domains; by default large
-                        enough that exp(-delta_min * tail_cut^2) < 1e-17
     """
 
     damping: float = 1e-2
     extrapolation_orders: int = 3
-    tail_cut: float = 0.0
 
     def __post_init__(self):
         if self.damping <= 0:
             raise ValueError("damping must be positive")
         if self.extrapolation_orders < 1:
             raise ValueError("extrapolation_orders must be >= 1")
-        if self.tail_cut < 0:
-            raise ValueError("tail_cut must be positive")
-        if self.tail_cut == 0.0:
-            object.__setattr__(self, "tail_cut",
-                               math.sqrt(40.0 / min(self.deltas)))
 
     @property
     def deltas(self):
         return tuple(self.damping / 2 ** k
                      for k in range(self.extrapolation_orders))
+
+    @property
+    def tail_cut(self):
+        """Truncation of infinite domains: exp(-delta_min * tail_cut^2) < 1e-17."""
+        return math.sqrt(40.0 / self.deltas[-1])
 
 
 DEFAULT_POLICY = RegularizationPolicy()
@@ -214,37 +202,50 @@ def richardson_sequence(values):
     return limit, (raw, refined)
 
 
-def damped_line_integral(f, policy=DEFAULT_POLICY, phase_scale=0.0, grid=None,
-                         check=False):
+def damped_weights(nodes, weights, deltas):
+    """Real (ns, k) damped-weight matrix weights * exp(-delta_k * s^2).
+
+    Column k damps the quadrature weights with the k-th delta of the
+    schedule; every damped sum of the package is a contraction against it.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    return np.asarray(weights, dtype=float)[:, None] * np.exp(-np.outer(nodes * nodes, deltas))
+
+
+def damped_limit(vals, damped, rtol=None):
+    """Contract vals (..., ns) against a damped-weight matrix (ns, k) and
+    Richardson-extrapolate the k estimates to delta -> 0.
+
+    With `rtol`, a schedule of three or more deltas is checked for
+    consistency: when the refined first-order extrapolants differ by more
+    than max(0.25 * raw difference, rtol * (max|limit| + 1)) the estimates
+    do not follow the assumed error series and ConvergenceFailure carries
+    them.  `rtol=None` skips the check.
+    """
+    est = np.asarray(vals) @ damped
+    estimates = list(np.moveaxis(est, -1, 0))
+    limit, consistency = richardson_sequence(estimates)
+    if rtol is not None and len(estimates) >= 3:
+        raw, refined = consistency
+        if refined > max(0.25 * raw, rtol * (float(np.max(np.abs(limit))) + 1.0)):
+            raise ConvergenceFailure(
+                "damped extrapolation inconsistent "
+                f"(raw diff {raw:.3e}, refined diff {refined:.3e})",
+                estimates=estimates)
+    return limit
+
+
+def damped_line_integral(f, policy=DEFAULT_POLICY, phase_scale=0.0):
     """integral of f(s) ds over the real line, via Gaussian damping.
 
     f maps a node array of shape (ns,) to values of shape (..., ns); the
     damped integral is computed for every delta in the policy schedule and
-    Richardson-extrapolated.  `phase_scale` is the largest |d(phase)/ds| / s
-    of the integrand (i.e. the coefficient of the quadratic phase), used to
-    grade the panels.  A precomputed (nodes, weights) pair can be passed to
-    share grids across many integrands.
+    Richardson-extrapolated, with the consistency check of `damped_limit`.
+    `phase_scale` is the largest |d(phase)/ds| / s of the integrand (i.e.
+    the coefficient of the quadratic phase), used to grade the panels.
     """
-    if grid is None:
-        nodes, weights = graded_line_grid(policy.tail_cut, phase_scale)
-    else:
-        nodes, weights = grid
-    vals = f(nodes)
-    vals = np.asarray(vals)
-    estimates = []
-    for d in policy.deltas:
-        damp = weights * np.exp(-d * nodes * nodes)
-        estimates.append(vals @ damp)
-    limit, consistency = richardson_sequence(estimates)
-    if check and policy.extrapolation_orders >= 3:
-        raw, refined = consistency
-        scale = float(np.max(np.abs(limit))) + 1.0
-        if refined > max(0.25 * raw, 1e-12 * scale):
-            raise ConvergenceFailure(
-                "damped integral extrapolation inconsistent "
-                f"(raw diff {raw:.3e}, refined diff {refined:.3e})",
-                estimates=estimates)
-    return limit
+    nodes, weights = graded_line_grid(policy.tail_cut, phase_scale)
+    return damped_limit(f(nodes), damped_weights(nodes, weights, policy.deltas), rtol=1e-12)
 
 
 def pv_quadrature(f, lam, policy=DEFAULT_POLICY, window=None, n_panels=600):
@@ -281,17 +282,5 @@ def regularized_lattice_sum(g, L, lattice="Z", policy=DEFAULT_POLICY, check=True
         s = h * np.arange(0, n_max + 1)
     else:
         raise ValueError("lattice must be 'Z' or 'N'")
-    vals = np.asarray(g(s))
-    estimates = []
-    for d in policy.deltas:
-        estimates.append(h * (vals @ np.exp(-d * s * s)))
-    limit, consistency = richardson_sequence(estimates)
-    if check and policy.extrapolation_orders >= 3:
-        raw, refined = consistency
-        scale = float(np.max(np.abs(limit))) + 1.0
-        if refined > max(0.25 * raw, 1e-10 * scale):
-            raise ConvergenceFailure(
-                "lattice sum extrapolation inconsistent "
-                f"(raw diff {raw:.3e}, refined diff {refined:.3e})",
-                estimates=estimates)
-    return limit
+    damped = damped_weights(s, np.full(len(s), h), policy.deltas)
+    return damped_limit(g(s), damped, rtol=1e-10 if check else None)

@@ -74,17 +74,19 @@ def check_hilbert_conjugation():
 
 
 def check_hilbert_vs_pv_quadrature():
-    from .special_integrals import richardson_sequence
+    from .special_integrals import damped_weights, richardson_sequence
 
     worst = 0.0
     deltas = DEFAULT_POLICY.deltas
     for lam, y, t in ((0.7, 0.4, 1.0), (-1.2, 0.8, -0.5), (1.0, 2.0, 0.0)):
         closed = pv_fresnel_hilbert(lam, y, t)
-        window = math.sqrt(40.0 / deltas[-1]) + abs(lam)
+        window = DEFAULT_POLICY.tail_cut + abs(lam)
         n_panels = int(window * (2 * abs(t) * window + abs(y) + 2) / 3.0)
-        vals = [pv_quadrature(
-            lambda s, dd=dd: np.exp(1j * t * s * s - 1j * y * s - dd * s * s),
-            lam, window=window, n_panels=n_panels) for dd in deltas]
+        # one damped integrand per delta, rows of shape (k, ns)
+        vals = pv_quadrature(
+            lambda s: np.exp(1j * t * s * s - 1j * y * s)
+            * damped_weights(s, np.ones(len(s)), deltas).T,
+            lam, window=window, n_panels=n_panels)
         orc, _ = richardson_sequence(vals)
         worst = max(worst, abs(closed - orc) / (1.0 + abs(closed)))
     return _check("pv_fresnel_hilbert vs pv_quadrature oracle", worst, 5e-6)

@@ -35,6 +35,8 @@ def test_correlate_single_point_json(tmp_path):
     assert len(data) == 1
     rec = data[0]
     assert rec["x1"] == 0.5 and rec["eps"] == "+"
+    # the dynamical route runs no damping schedule, so it reports none
+    assert rec["deltas"] == ""
     assert math.isfinite(rec["value_re"]) and math.isfinite(rec["value_im"])
     # value recomputable from the library
     from bosefredholm.correlators import PhysicalPoint, correlation_ground
@@ -99,13 +101,20 @@ def test_config_error_exit_code():
     assert code == 1
     code, _ = run_cli(["correlate"])
     assert code == 1
+    # a flag the command does not read is rejected, not ignored
+    code, _ = run_cli(["correlate", "--eps", "+", "--x1", "0.1", "--x2", "0.2",
+                       "--t", "0", "--D", "1", "--damping", "0.01"])
+    assert code == 1
 
 
 def test_io_error_exit_code(tmp_path):
-    code = main(["correlate", "--eps", "+", "--x1", "0.4", "--x2", "0.9",
-                 "--t", "0", "--D", "1", "--n", "16",
-                 "--output", str(tmp_path / "no" / "dir" / "x.csv")])
-    assert code == 3
+    bad = str(tmp_path / "no" / "dir" / "x.out")
+    for args in (["correlate", "--eps", "+", "--x1", "0.4", "--x2", "0.9",
+                  "--t", "0", "--D", "1", "--n", "16"],
+                 ["oracle"],
+                 ["validate"],
+                 ["kernel-dump", "--kernel", "W", "--n", "4"]):
+        assert main(args + ["--output", bad]) == 3, args[0]
 
 
 def test_density_command(tmp_path):

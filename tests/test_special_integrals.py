@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bosefredholm.errors import DegenerateDelta, InvalidIntegrand
+from bosefredholm.errors import ConvergenceFailure, DegenerateDelta, InvalidIntegrand
 from bosefredholm.special_integrals import (
     DEFAULT_POLICY,
     RegularizationPolicy,
+    damped_limit,
     damped_line_integral,
+    damped_weights,
     gaussian_fresnel,
     pv_fresnel_hilbert,
     pv_quadrature,
@@ -150,6 +155,49 @@ def test_lattice_sum_matches_gaussian_fresnel():
         lambda s: g(s + 1e-5),
         8.0, policy=RegularizationPolicy(damping=1e-2, extrapolation_orders=3))
     assert abs(reg - direct) < 2e-5
+
+
+def test_lattice_sum_inconsistent_extrapolation_carries_estimates():
+    # a constant summand sums to ~sqrt(pi/delta), which has no
+    # c1*delta + c2*delta^2 error series: the refined extrapolants do not
+    # tighten, and the failure carries the per-delta estimates
+    pol = RegularizationPolicy(damping=1e-2, extrapolation_orders=3)
+    with pytest.raises(ConvergenceFailure) as info:
+        regularized_lattice_sum(lambda s: np.ones_like(s), 1.0, policy=pol)
+    h = math.pi
+    s = h * np.arange(-int(pol.tail_cut / h), int(pol.tail_cut / h) + 1)
+    expected = [h * np.sum(np.exp(-d * s * s)) for d in pol.deltas]
+    assert len(info.value.estimates) == 3
+    assert np.allclose(info.value.estimates, expected, rtol=1e-12, atol=0.0)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _damped_cases(draw):
+    ns = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from([(ns,), (2, ns), (3, ns)]))
+    nodes = draw(hnp.arrays(float, ns, elements=st.floats(-50.0, 50.0, **_FINITE)))
+    weights = draw(hnp.arrays(float, ns, elements=st.floats(1e-3, 10.0, **_FINITE)))
+    re = draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3, **_FINITE)))
+    im = draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3, **_FINITE)))
+    policy = RegularizationPolicy(damping=draw(st.floats(1e-4, 1.0, **_FINITE)),
+                                  extrapolation_orders=draw(st.integers(1, 5)))
+    return nodes, weights, re + 1j * im, policy.deltas
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damped_cases())
+def test_damped_limit_equals_per_delta_loop(case):
+    # the explicit loop over the schedule is the reference
+    nodes, weights, vals, deltas = case
+    estimates = [vals @ (weights * np.exp(-d * nodes * nodes)) for d in deltas]
+    expected, _ = richardson_sequence(estimates)
+    got = damped_limit(vals, damped_weights(nodes, weights, deltas))
+    scale = np.abs(vals) @ weights
+    assert np.shape(got) == np.shape(expected)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
 def test_richardson_consistency_shrinks():
