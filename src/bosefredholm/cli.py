@@ -1,8 +1,9 @@
 """Command-line interface: correlator scans, static/boundary evaluators,
 validation suites, and machine-readable CSV/JSON output.
 
-Exit codes: 0 success, 1 configuration error, 2 convergence failure
-(partial results still written, flagged), 3 I/O failure.
+Exit codes: 0 success, 1 configuration or computation error, 2 convergence
+failure (partial results still written, flagged), 3 output could not be
+written.
 """
 
 import argparse
@@ -43,6 +44,10 @@ CSV_HEADER = ("x1,x2,t,T,h,D,eps,value_re,value_im,det_re,det_im,deriv_re,deriv_
 
 class CliError(Exception):
     """Configuration problem; maps to exit code 1."""
+
+
+class OutputError(BoseFredholmError):
+    """The output could not be written; the only error that maps to exit code 3."""
 
 
 def _fmt(x, digits):
@@ -98,11 +103,14 @@ def _write_output(text, path):
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def emit(records, fmt, path, digits=15):
-    """Write records as CSV (fixed header) or a JSON array."""
+    """Write records as CSV (fixed header) or a strict JSON array.
+
+    Non-finite floats are `nan` in CSV and `null` in JSON.
+    """
     if not records:
         raise CliError("no records to emit")
     if fmt == "csv":
@@ -119,9 +127,11 @@ def emit(records, fmt, path, digits=15):
         for r in records:
             c = {}
             for k, v in r.items():
-                c[k] = float(_fmt(v, digits)) if isinstance(v, float) else v
+                if isinstance(v, float):
+                    v = float(_fmt(v, digits)) if math.isfinite(v) else None
+                c[k] = v
             cooked.append(c)
-        text = json.dumps(cooked, indent=1) + "\n"
+        text = json.dumps(cooked, indent=1, allow_nan=False) + "\n"
     _write_output(text, path)
 
 
@@ -238,25 +248,19 @@ def cmd_kernel_dump(args):
     kind = _eps_kind(args.eps)
     thermal = ThermalParams(h=args.h, T=args.T)
     geom = GeometryParams(args.x1, args.x2, args.t)
+    kernels = {
+        "L": lambda a, b: kernel_L(a, b, geom),
+        "V": lambda a, b: kernel_V(a, b, kind, geom),
+        "W": lambda a, b: kernel_W(a, b, args.x2),
+        "theta": lambda a, b: kernel_theta(a, b, kind, thermal),
+        "K": lambda a, b: kernel_K_static(a, b, kind, math.pi * args.D),
+    }
     grid = np.linspace(args.a, args.b, args.n)
-    name = args.kernel
+    mat = np.asarray(kernels[args.kernel](grid[:, None], grid[None, :]), dtype=complex)
     rows = ["i,j,lam,mu,re,im"]
-    for i, lam in enumerate(grid):
-        for j, mu in enumerate(grid):
-            if name == "L":
-                v = kernel_L(lam, mu, geom)
-            elif name == "V":
-                v = kernel_V(lam, mu, kind, geom)
-            elif name == "W":
-                v = complex(kernel_W(lam, mu, args.x2))
-            elif name == "theta":
-                v = complex(kernel_theta(lam, mu, kind, thermal))
-            elif name == "K":
-                v = complex(kernel_K_static(lam, mu, kind, math.pi * args.D))
-            else:
-                raise CliError(f"unknown kernel {name!r}")
-            rows.append(f"{i},{j},{_fmt(lam, args.digits)},{_fmt(mu, args.digits)},"
-                        f"{_fmt(v.real, args.digits)},{_fmt(v.imag, args.digits)}")
+    for (i, j), v in np.ndenumerate(mat):
+        rows.append(f"{i},{j},{_fmt(grid[i], args.digits)},{_fmt(grid[j], args.digits)},"
+                    f"{_fmt(v.real, args.digits)},{_fmt(v.imag, args.digits)}")
     _write_output("\n".join(rows) + "\n", args.output)
     return 0
 
@@ -432,10 +436,10 @@ def main(argv=None):
     except ConvergenceFailure as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
-    except IOError as exc:
+    except OutputError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except BoseFredholmError as exc:
+    except (BoseFredholmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

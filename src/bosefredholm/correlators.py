@@ -87,20 +87,11 @@ def density_of_temperature(p, n=400):
     return float(np.sum(quad.weights * fermi_weight(quad.nodes, p)) / math.pi)
 
 
-def _v_matrix(nodes, kind, geom):
-    n = len(nodes)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = kernel_V(nodes[i], nodes[j], kind, geom)
-    return mat
-
-
 def _assemble(pt, quad, weight_fn):
     geom = GeometryParams(pt.x1, pt.x2, pt.t)
-    mat = _v_matrix(quad.nodes, pt.kind, geom)
-    op = DiscretizedOperator(quadrature=quad, matrix=mat, scale=2.0 / math.pi,
-                             weight_fn=weight_fn)
+    op = DiscretizedOperator.from_kernel(
+        lambda a, b: kernel_V(a, b, pt.kind, geom), quad, 2.0 / math.pi,
+        weight_fn=weight_fn)
     f, g = rank_one_factors(pt.kind, geom)
     pert = RankOnePerturbation(f_values=np.asarray(f(quad.nodes), dtype=complex),
                                g_values=np.asarray(g(quad.nodes), dtype=complex),

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ExtrapolationWarning, InvalidGrid, NumericalFailure, SingularOperator
+from .special_integrals import gauss_legendre
 
 COND_LIMIT = 1e12
 
@@ -63,7 +64,7 @@ def build_grid(domain, n, thermal=None, tol=1e-14):
         truncation = b
     if not (a < b):
         raise InvalidGrid(f"empty domain [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
     return Quadrature(nodes=nodes, weights=weights, a=a, b=b, truncation=truncation)

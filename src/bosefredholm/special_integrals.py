@@ -7,6 +7,7 @@ function) are used on the hot paths and are unit-tested against the damped
 quadrature oracles in this module.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,11 +95,16 @@ def fresnel_sine_transform(a, t):
 def pv_fresnel_hilbert(lam, y, t):
     """PV integral of exp(i*t*s^2 - i*y*s)/(s - lam) ds.
 
-    Shift u = s - lam and keep the even part; broadcasts over `lam`.
+    Shift u = s - lam and keep the even part; broadcasts over `lam`.  A
+    scalar runs as a one-point array, so a point gets the same bits alone as
+    inside an array (numpy's array loop fuses the complex multiply, its
+    scalar arithmetic does not): kernel_L divides differences of these
+    values by lam - mu down to |lam - mu| = 1e-12.
     """
     lam = np.asarray(lam, dtype=float)
-    out = np.exp(1j * t * lam * lam - 1j * y * lam) * fresnel_sine_transform(2.0 * t * lam - y, t)
-    return out if np.ndim(out) else complex(out)
+    pts = np.atleast_1d(lam)
+    out = np.exp(1j * t * pts * pts - 1j * y * pts) * fresnel_sine_transform(2.0 * t * pts - y, t)
+    return out if lam.ndim else complex(out[0])
 
 
 def pv_fresnel_hilbert_dlam(lam, y, t):
@@ -140,9 +146,22 @@ def fresnel_kink_integral(a, lam, t):
 # ---------------------------------------------------------------------------
 # quadrature machinery
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(order):
+    """Gauss-Legendre nodes/weights on [-1, 1], built once per order.
+
+    The cached arrays are shared by every caller and therefore read-only;
+    the cache keeps the 64 most recent orders.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(a, b, n_panels, order=16):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -157,7 +176,7 @@ def graded_line_grid(tail_cut, phase_scale, base_width=0.25, phase_per_panel=4.0
     Panel widths shrink like phase_per_panel/(2*phase_scale*s) so that each
     16-point panel sees a bounded number of oscillations.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     edges = [0.0]
     while edges[-1] < tail_cut:
         s = edges[-1]

@@ -95,23 +95,18 @@ def check_hilbert_vs_pv_quadrature():
 def check_kernel_reflection():
     rng = np.random.default_rng(3)
     g = GeometryParams(0.4, 1.1, 0.6)
-    worst = 0.0
-    for _ in range(30):
-        lam, mu = rng.uniform(-2.5, 2.5, size=2)
-        worst = max(worst, abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g)))
+    lam, mu = rng.uniform(-2.5, 2.5, size=(30, 2)).T
+    worst = np.max(np.abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g)))
     return _check("kernel reflection L(lam,-mu) = L(-lam,mu)", worst, 1e-10)
 
 
 def check_theta_static_reduction():
     p0 = ThermalParams(h=1.3, T=0.0)
     grid = np.linspace(0.05, 2.0, 8)
-    worst = 0.0
-    for kind in (NEUMANN, DIRICHLET):
-        for xi in grid:
-            for eta in grid:
-                a = kernel_theta(xi, eta, kind, p0)
-                b = kernel_K_static(xi, eta, kind, math.sqrt(p0.h))
-                worst = max(worst, abs(a - b))
+    xi, eta = grid[:, None], grid[None, :]
+    worst = max(np.max(np.abs(kernel_theta(xi, eta, kind, p0)
+                              - kernel_K_static(xi, eta, kind, math.sqrt(p0.h))))
+                for kind in (NEUMANN, DIRICHLET))
     return _check("thermal kernel at T=0 equals static sine kernel", worst, 1e-10)
 
 

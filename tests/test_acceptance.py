@@ -180,11 +180,9 @@ def test_criterion_06_kernel_degeneration():
         quad = build_grid((-math.pi, math.pi), 16)
         op = build_M_operator(cfg, quad, policy=POL5)
         g = GeometryParams(x2, x1, t)
-        lam = quad.nodes
-        for i in range(16):
-            for j in range(16):
-                gauge = np.exp(0.5j * t * (lam[i] ** 2 - lam[j] ** 2))
-                worst = max(worst, abs(op.matrix[i, j] - gauge * kernel_L(lam[i], lam[j], g)))
+        lam, mu = quad.nodes[:, None], quad.nodes[None, :]
+        gauge = np.exp(0.5j * t * (lam ** 2 - mu ** 2))
+        worst = max(worst, float(np.max(np.abs(op.matrix - gauge * kernel_L(lam, mu, g)))))
     runtime = time.time() - t0
     ok = worst <= 1e-8
     assert _report(6, "four-point kernel degenerates to dynamical kernel "
@@ -203,7 +201,7 @@ def test_criterion_07_b14_trace_equality():
         quad = build_grid((-q, q), 40)
         lam, w = quad.nodes, quad.weights
         g = GeometryParams(x1, x2, t)
-        Lm = np.array([[kernel_L(a, b, g) for b in lam] for a in lam])
+        Lm = kernel_L(lam[:, None], lam[None, :], g)
         u = kernel_P(lam, x1, x2, t)
         v = kernel_P(lam, x2, x1, t)
         sol = np.linalg.solve(np.eye(40) - (2 / math.pi) * Lm * w[None, :], u)
@@ -245,7 +243,7 @@ def test_criterion_09_resolvent_relation():
     half = build_grid((0.0, q), n)
 
     def lmat(rows, cols):
-        return np.array([[kernel_L(a, b, g) for b in cols] for a in rows])
+        return kernel_L(rows[:, None], cols[None, :], g)
 
     LF = lmat(full.nodes, full.nodes)
     wF = full.weights
@@ -376,8 +374,7 @@ def test_criterion_12_numerics_certificates():
                 else:
                     quad = build_grid(dom, n)
                     wfn = None
-                mat = np.array([[kernel_V(a, b, kind, g) for b in quad.nodes]
-                                for a in quad.nodes])
+                mat = kernel_V(quad.nodes[:, None], quad.nodes[None, :], kind, g)
                 op = DiscretizedOperator(quadrature=quad, matrix=mat,
                                          scale=2 / math.pi, weight_fn=wfn)
                 dets.append(fredholm_det(op))

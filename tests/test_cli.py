@@ -117,6 +117,33 @@ def test_io_error_exit_code(tmp_path):
         assert main(args + ["--output", bad]) == 3, args[0]
 
 
+def test_oserror_while_computing_exit_code(monkeypatch):
+    # an OS error raised by the computation is not an output failure
+    import bosefredholm.cli as cli
+
+    def failing(*args, **kwargs):
+        raise OSError("resource unavailable")
+
+    monkeypatch.setattr(cli, "correlation_static", failing)
+    code, _ = run_cli(["static", "--eps", "+", "--x1", "0.4", "--x2", "0.9",
+                       "--T", "0.5"])
+    assert code == 1
+
+
+def test_static_json_is_strict(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out = tmp_path / "s.json"
+    code = main(["static", "--eps", "+", "--x1", "0.4", "--x2", "0.9", "--T", "0.5",
+                 "--n", "16", "--format", "json", "--output", str(out)])
+    assert code == 0
+    rec = json.loads(out.read_text(), parse_constant=reject)[0]
+    # fields the static route does not compute are null, not NaN
+    assert rec["det_re"] is None and rec["err"] is None
+    assert math.isfinite(rec["value_re"])
+
+
 def test_density_command(tmp_path):
     out = tmp_path / "d.csv"
     code = main(["density", "--T", "1", "--h", "1", "--output", str(out)])

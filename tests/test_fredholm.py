@@ -77,7 +77,7 @@ def test_det_symmetrized_equals_plain():
     # sqrt(w) K sqrt(w) similarity invariance vs plain K D_w
     g = GeometryParams(0.4, 1.1, 0.5)
     quad = build_grid((0.0, 2.0), 24)
-    mat = np.array([[kernel_V(l, m, NEUMANN, g) for m in quad.nodes] for l in quad.nodes])
+    mat = kernel_V(quad.nodes[:, None], quad.nodes[None, :], NEUMANN, g)
     op = DiscretizedOperator(quadrature=quad, matrix=mat, scale=2.0 / math.pi)
     plain = np.linalg.det(op.id_minus())
     assert abs(fredholm_det(op) - plain) < 1e-12 * abs(plain)
@@ -137,7 +137,7 @@ def test_rank_one_derivative_trivial_and_fd():
     # generic case vs central finite difference in alpha
     g = GeometryParams(0.3, 0.8, 0.4)
     quad = build_grid((0.0, 2.0), 24)
-    mat = np.array([[kernel_V(l, m, NEUMANN, g) for m in quad.nodes] for l in quad.nodes])
+    mat = kernel_V(quad.nodes[:, None], quad.nodes[None, :], NEUMANN, g)
     op = DiscretizedOperator(quadrature=quad, matrix=mat, scale=2.0 / math.pi)
     f = np.exp(1j * quad.nodes)
     gv = np.cos(quad.nodes) + 0.2j
@@ -214,8 +214,7 @@ def test_node_doubling_stability_t0():
     dets = []
     for n in (64, 128):
         quad = build_grid((0.0, math.pi), n)
-        mat = np.array([[kernel_V(l, m, NEUMANN, g) for m in quad.nodes]
-                        for l in quad.nodes])
+        mat = kernel_V(quad.nodes[:, None], quad.nodes[None, :], NEUMANN, g)
         op = DiscretizedOperator(quadrature=quad, matrix=mat, scale=2.0 / math.pi)
         dets.append(fredholm_det(op))
     assert abs(dets[0] - dets[1]) <= 1e-10 * (1 + abs(dets[1]))
@@ -231,7 +230,7 @@ def test_half_full_interval_resolvent_relation():
     half = build_grid((0.0, q), n)
 
     def lmat(rows, cols):
-        return np.array([[kernel_L(a, b, g) for b in cols] for a in rows])
+        return kernel_L(rows[:, None], cols[None, :], g)
 
     LF = lmat(full.nodes, full.nodes)
     wF = full.weights

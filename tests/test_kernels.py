@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosefredholm.kernels import (
     DIRICHLET,
@@ -19,6 +21,7 @@ from bosefredholm.kernels import (
     rank_one_factors,
     step_weight,
 )
+from bosefredholm.special_integrals import pv_fresnel_hilbert
 
 
 def test_fermi_weight_examples():
@@ -93,6 +96,86 @@ def test_kernel_L_diagonal_limit():
             e2 = kernel_L(lam, lam + 2e-5, g)
             extrap = 2 * e1 - e2
             assert abs(direct - extrap) < 1e-8, (t, lam)
+
+
+def kernel_L_scalar(lam, mu, g):
+    """Scalar oracle of kernel_L: one pair (lam, mu) per call."""
+    x1, x2, t = g.x1, g.x2, g.t
+    d = lam - mu
+    if abs(d) < 1e-12:
+        return kernel_L_diag(lam, g)
+    if t == 0.0:
+        xm, xM = min(x1, x2), max(x1, x2)
+        return complex((math.sin(xM * d) - math.sin(xm * d)) / d)
+    brace = (np.exp(1j * t * lam * lam) * math.sin(x1 * d)
+             + np.exp(1j * t * mu * mu) * math.sin(x2 * d))
+    pv = 0.0j
+    for sgn, X, phi in ((+1.0, x1 - x2, -mu * x1 + lam * x2),
+                        (+1.0, x2 - x1, mu * x1 - lam * x2),
+                        (-1.0, x1 + x2, -mu * x1 - lam * x2),
+                        (-1.0, -x1 - x2, mu * x1 + lam * x2)):
+        pv += sgn * 0.25 * np.exp(1j * phi) * (pv_fresnel_hilbert(mu, -X, t)
+                                               - pv_fresnel_hilbert(lam, -X, t))
+    return complex(np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv) / d)
+
+
+_COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+_POS = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _kernel_meshes(draw):
+    t = draw(st.one_of(st.just(0.0), st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)))
+    x1 = draw(st.one_of(st.just(0.0), _POS))
+    x2 = draw(st.one_of(st.just(x1), _POS))
+    lam = draw(st.lists(_COORD, min_size=1, max_size=4))
+    mu = []
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.sampled_from(lam))
+        how = draw(st.sampled_from(("free", "diagonal", "below", "above", "reflected")))
+        side = draw(st.sampled_from((-1.0, 1.0)))
+        # |lam - mu| on either side of the 1e-12 diagonal threshold
+        mu.append({"free": draw(_COORD), "diagonal": base,
+                   "below": base + side * 0.99e-12, "above": base + side * 1.01e-12,
+                   "reflected": -base}[how])
+    return GeometryParams(x1, x2, t), np.array(lam), np.array(mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_meshes(), st.sampled_from((NEUMANN, DIRICHLET)))
+def test_kernel_L_V_broadcast_equal_scalar_oracle(case, kind):
+    g, lam, mu = case
+    L = kernel_L(lam[:, None], mu[None, :], g)
+    V = kernel_V(lam[:, None], mu[None, :], kind, g)
+    assert L.shape == V.shape == (len(lam), len(mu))
+    for i, a in enumerate(lam):
+        for j, b in enumerate(mu):
+            ref_L = kernel_L_scalar(a, b, g)
+            ref_V = ref_L + kind.eps * kernel_L_scalar(a, -b, g)
+            assert abs(L[i, j] - ref_L) <= 1e-12 * (1.0 + abs(ref_L)), (a, b)
+            assert abs(V[i, j] - ref_V) <= 1e-12 * (1.0 + abs(ref_V)), (a, b)
+
+
+def test_kernel_V_mesh_evaluates_hilbert_on_node_vectors(monkeypatch):
+    # an n x n matrix costs 8n Hilbert-transform points per L half, not n^2
+    import bosefredholm.kernels as kernels
+    points = []
+
+    def counting(lam, y, t):
+        points.append(np.size(lam))
+        return pv_fresnel_hilbert(lam, y, t)
+
+    monkeypatch.setattr(kernels, "pv_fresnel_hilbert", counting)
+    nodes = np.linspace(0.1, 3.0, 40)
+    kernel_V(nodes[:, None], nodes[None, :], NEUMANN, GeometryParams(0.4, 1.1, 0.6))
+    assert sum(points) == 16 * len(nodes)
+
+
+def test_kernel_L_scalar_input_gives_complex():
+    g = GeometryParams(0.4, 1.1, 0.6)
+    for lam, mu in ((0.3, 0.7), (0.3, 0.3)):
+        assert type(kernel_L(lam, mu, g)) is complex
+        assert type(kernel_V(lam, mu, NEUMANN, g)) is complex
 
 
 def test_kernel_P_t0():

@@ -183,12 +183,9 @@ def test_four_point_kernel_degeneration():
     quad = build_grid((-math.pi, math.pi), 12)
     op = build_M_operator(cfg, quad, policy=POL3)
     g = GeometryParams(x2, x1, t)
-    lam = quad.nodes
-    worst = 0.0
-    for i in range(12):
-        for j in range(12):
-            gauge = np.exp(0.5j * t * (lam[i] ** 2 - lam[j] ** 2))
-            worst = max(worst, abs(op.matrix[i, j] - gauge * kernel_L(lam[i], lam[j], g)))
+    lam, mu = quad.nodes[:, None], quad.nodes[None, :]
+    gauge = np.exp(0.5j * t * (lam ** 2 - mu ** 2))
+    worst = np.max(np.abs(op.matrix - gauge * kernel_L(lam, mu, g)))
     assert worst < 1e-6
 
 
@@ -201,7 +198,7 @@ def test_b14_trace_identity():
     quad = build_grid((-q, q), 40)
     lam, w = quad.nodes, quad.weights
     g = GeometryParams(x1, x2, t)
-    Lm = np.array([[kernel_L(a, b, g) for b in lam] for a in lam])
+    Lm = kernel_L(lam[:, None], lam[None, :], g)
     u = kernel_P(lam, x1, x2, t)
     v = kernel_P(lam, x2, x1, t)
     sol = np.linalg.solve(np.eye(40) - (2 / math.pi) * Lm * w[None, :], u)

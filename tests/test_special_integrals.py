@@ -13,6 +13,7 @@ from bosefredholm.special_integrals import (
     damped_limit,
     damped_line_integral,
     damped_weights,
+    gauss_legendre,
     gaussian_fresnel,
     pv_fresnel_hilbert,
     pv_quadrature,
@@ -216,6 +217,17 @@ def test_richardson_consistency_shrinks():
     estimates = [h * (vals @ np.exp(-d * s * s)) for d in policy.deltas]
     _, (raw, refined) = richardson_sequence(estimates)
     assert refined <= raw / 4.0
+
+
+def test_gauss_legendre_rule_cached_read_only():
+    x, w = gauss_legendre(16)
+    assert gauss_legendre(16)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
 
 
 def test_policy_validation():
