@@ -174,22 +174,21 @@ def boundary_w_det(x, t, pt, n=64):
     return fredholm_det(op)
 
 
-def correlation_boundary_neumann(x, t, pt, n=64, policy=None, n_spectral=None):
+def correlation_boundary_neumann(x, t, pt, n=64, n_spectral=None):
     """x1 = 0 Neumann correlator: 2 exp(-i h t) det(1 - (2/pi) W-hat) * b_14.
 
     b_14 is evaluated at the four-point configuration (0, 0, -x, x; 0, 0, t, t)
     by the integrable-system module, over [-q, q] (T = 0) or the weighted
-    line (T > 0).
+    line (T > 0); at this configuration every whole-line integral of b has
+    a closed form, so no line grid and no damping enter.
     """
     from .nls_system import FourPointConfig, build_b
 
     if pt.kind.eps != 1:
         raise ValueError("boundary route is Neumann-only")
-    from .special_integrals import FINE_POLICY
-    policy = policy or FINE_POLICY
     det = boundary_w_det(x, t, pt, n=n)
     cfg = FourPointConfig.correlation(0.0, x, t)
-    mats = build_b(cfg, ensemble=pt, n=n_spectral or n, policy=policy)
+    mats = build_b(cfg, ensemble=pt, n=n_spectral or n)
     phase = np.exp(-1j * pt.thermal.h * t)
     return complex(2.0 * phase * det * mats.b[0, 3])
 

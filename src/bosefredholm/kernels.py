@@ -16,6 +16,7 @@ from .special_integrals import (
     fresnel_kink_integral,
     gauss_panels,
     pv_fresnel_hilbert,
+    pv_fresnel_hilbert_dlam,
 )
 
 
@@ -84,6 +85,19 @@ def _sinc(x, u):
     return out if np.ndim(out) else float(out)
 
 
+def _pv_terms(lam, mu, x1, x2):
+    """(sign, X, phi) of the four Gaussian Hilbert terms of kernel_L.
+
+    PV int (1/(s-mu) - 1/(s-lam)) e^{its^2} sin((s-mu)x1) sin((s-lam)x2) ds,
+    via sinA sinB = (e^{i(A-B)} + e^{-i(A-B)} - e^{i(A+B)} - e^{-i(A+B)})/4,
+    is the sum of sign/4 e^{i phi} (H(mu, -X) - H(lam, -X)).
+    """
+    return ((+1.0, x1 - x2, -mu * x1 + lam * x2),
+            (+1.0, x2 - x1, mu * x1 - lam * x2),
+            (-1.0, x1 + x2, -mu * x1 - lam * x2),
+            (-1.0, -x1 - x2, mu * x1 + lam * x2))
+
+
 def kernel_L(lam, mu, g):
     """Dynamical two-position kernel L(lam, mu); broadcasts over lam/mu.
 
@@ -93,7 +107,9 @@ def kernel_L(lam, mu, g):
     as given: an (n, 1) x (1, n) mesh costs 8n points, not n^2 per term.
     At t = 0 the damped regularization collapses to
     [sin(xmax*d) - sin(xmin*d)]/d, d = lam - mu.  Entries with
-    |d| < 1e-12 take the analytic diagonal kernel_L_diag.  Scalar inputs
+    |d| < 1e-12 take the analytic diagonal kernel_L_diag; for t != 0,
+    entries with 1e-12 <= |d| < 1e-6 take each difference quotient of H as
+    the derivative at the midpoint (_kernel_L_near_diag).  Scalar inputs
     give a complex.
     """
     x1, x2, t = g.x1, g.x2, g.t
@@ -101,6 +117,7 @@ def kernel_L(lam, mu, g):
     mu = np.asarray(mu, dtype=float)
     d = lam - mu
     diag = np.abs(d) < 1e-12
+    near = ~diag & (np.abs(d) < 1e-6)
     d = np.where(diag, 1.0, d)
     if t == 0.0:
         xm, xM = min(x1, x2), max(x1, x2)
@@ -108,20 +125,35 @@ def kernel_L(lam, mu, g):
     else:
         brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
                  + np.exp(1j * t * mu * mu) * np.sin(x2 * d))
-        # PV int (1/(s-mu) - 1/(s-lam)) e^{its^2} sin((s-mu)x1) sin((s-lam)x2) ds,
-        # via sinA sinB = (e^{i(A-B)} + e^{-i(A-B)} - e^{i(A+B)} - e^{-i(A+B)})/4
         pv = 0.0j
-        for sgn, X, phi in ((+1.0, x1 - x2, -mu * x1 + lam * x2),
-                            (+1.0, x2 - x1, mu * x1 - lam * x2),
-                            (-1.0, x1 + x2, -mu * x1 - lam * x2),
-                            (-1.0, -x1 - x2, mu * x1 + lam * x2)):
+        for sgn, X, phi in _pv_terms(lam, mu, x1, x2):
             pv = pv + sgn * 0.25 * np.exp(1j * phi) * (pv_fresnel_hilbert(mu, -X, t)
                                                        - pv_fresnel_hilbert(lam, -X, t))
         out = np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv) / d
     out = np.asarray(out, dtype=complex)
     if np.any(diag):
         out[diag] = kernel_L_diag(np.broadcast_to(lam, diag.shape)[diag], g)
+    if t != 0.0 and np.any(near):
+        out[near] = _kernel_L_near_diag(np.broadcast_to(lam, near.shape)[near],
+                                        np.broadcast_to(mu, near.shape)[near], g)
     return out if np.ndim(out) else complex(out)
+
+
+def _kernel_L_near_diag(lam, mu, g):
+    """kernel_L (t != 0) at 1e-12 <= |lam - mu| < 1e-6, on node vectors.
+
+    (H(mu) - H(lam))/(lam - mu) there loses about 1e-16/|lam - mu| to
+    cancellation; -H'((lam + mu)/2) equals it up to O((lam - mu)^2).
+    """
+    x1, x2, t = g.x1, g.x2, g.t
+    d = lam - mu
+    mid = 0.5 * (lam + mu)
+    brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
+             + np.exp(1j * t * mu * mu) * np.sin(x2 * d)) / d
+    pv = 0.0j
+    for sgn, X, phi in _pv_terms(lam, mu, x1, x2):
+        pv = pv - sgn * 0.25 * np.exp(1j * phi) * pv_fresnel_hilbert_dlam(mid, -X, t)
+    return np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv)
 
 
 def kernel_L_diag(lam, g):

@@ -78,26 +78,34 @@ class AuxField:
     def col_phase(self, mu):
         return np.exp(-1j * self.tb * mu ** 2 + 1j * self.yb * mu)
 
+    @property
+    def coincident(self):
+        """dy = dt = 0: G_p is the constant -(i/2) coincident_sign."""
+        return self.dy == 0.0 and self.dt == 0.0
+
     def hilbert(self, lam):
-        if self.dy == 0.0 and self.dt == 0.0:
+        if self.coincident:
             return np.full(np.shape(lam), -0.5j * self.coincident_sign)
         return pv_fresnel_hilbert(lam, self.dy, self.dt) / (2.0 * math.pi)
 
     def hilbert_deriv(self, lam):
-        if self.dy == 0.0 and self.dt == 0.0:
+        if self.coincident:
             return np.zeros(np.shape(lam), dtype=complex)
         return pv_fresnel_hilbert_dlam(lam, self.dy, self.dt) / (2.0 * math.pi)
 
-    def hilbert_diffquot(self, lam, s):
+    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None):
         """(G(lam) - G(s))/(lam - s), diagonal-safe.
 
-        G is evaluated on the broadcast inputs once per axis (cheap outer
-        difference); only near-diagonal entries fall back to G'.
+        g_lam, g_s are G already sampled at lam and s; each one not given
+        is evaluated here, once per axis (cheap outer difference).  Only
+        near-diagonal entries fall back to G'.
         """
         lam = np.asarray(lam, dtype=float)
         s = np.asarray(s, dtype=float)
+        g_lam = self.hilbert(lam) if g_lam is None else g_lam
+        g_s = self.hilbert(s) if g_s is None else g_s
         den = np.asarray(lam - s)
-        num = np.asarray(self.hilbert(lam) - self.hilbert(s))
+        num = np.asarray(g_lam - g_s)
         small = np.abs(den) < 1e-7
         out = np.asarray(num / np.where(small, 1.0, den), dtype=complex)
         if np.any(small):
@@ -107,15 +115,17 @@ class AuxField:
             out[small] = np.asarray(self.hilbert_deriv(mid))
         return out
 
-    def e_left(self, lam):
-        """Row 2-vector e_p^L sampled at lam: shape (..., 2)."""
+    def e_left(self, lam, g=None):
+        """Row 2-vector e_p^L sampled at lam: shape (..., 2).  g is G at lam
+        when already known."""
         a = self.row_phase(lam)
-        return np.stack([-a, a * self.hilbert(lam)], axis=-1)
+        return np.stack([-a, a * (self.hilbert(lam) if g is None else g)], axis=-1)
 
-    def e_right(self, mu):
-        """Column 2-vector e_p^R sampled at mu: shape (2, ...)."""
+    def e_right(self, mu, g=None):
+        """Column 2-vector e_p^R sampled at mu: shape (2, ...).  g is G at mu
+        when already known."""
         b = (2.0 / math.pi) * self.col_phase(mu)
-        return np.stack([b * self.hilbert(mu), b], axis=0)
+        return np.stack([b * (self.hilbert(mu) if g is None else g), b], axis=0)
 
 
 def build_aux_fields(cfg):
@@ -171,11 +181,36 @@ def _line_grid(cfg, policy):
     return nodes, damped_weights(nodes, weights, policy.deltas)
 
 
-def _adapted_line_grid(cfg, policy, line_grid):
-    """The given line grid, or the one of cfg under its adapted policy."""
+class _LineSamples:
+    """A line grid with G_1 and G_2 of one configuration sampled on its
+    nodes, once for all the whole-line integrals of build_b."""
+
+    def __init__(self, cfg, nodes, damped):
+        self.nodes, self.damped = nodes, damped
+        self.g = tuple(aux.hilbert(nodes) for aux in build_aux_fields(cfg))
+
+
+def _line_samples(cfg, policy, line_grid):
+    """Samples of cfg on the given line grid (nodes, damped-weight matrix),
+    or on the grid of cfg under its adapted policy; samples that build_b
+    passes on are used as they are."""
+    if isinstance(line_grid, _LineSamples):
+        return line_grid
     if line_grid is None:
         line_grid = _line_grid(cfg, adapt_policy(cfg, policy))
-    return line_grid
+    return _LineSamples(cfg, *line_grid)
+
+
+def _closed_form(cfg, line_grid):
+    """Whether the whole-line integrals of cfg are taken in closed form.
+
+    They have one when the first pair is coincident (G_1 constant, so
+    K_1 = 0) and the second equal-time (G_2 a plane wave), as at the x1 = 0
+    configuration correlation(0, x, t).  A given line grid always means
+    integration on it, which keeps the damped builders as the oracle.
+    """
+    y, t = cfg.y, cfg.t
+    return line_grid is None and y[0] == y[1] and t[0] == t[1] and t[2] == t[3]
 
 
 def _block_size(ns):
@@ -183,15 +218,79 @@ def _block_size(ns):
     return max(1, 4_000_000 // max(ns, 1))
 
 
+def _plane_wave_amplitude(aux):
+    """g with G(s) = g exp(-i dy s) for an equal-time pair (dt = 0).
+
+    The Hilbert transform of exp(-i dy s) is -(i/2) sign(dy) times itself;
+    a coincident pair (dy = 0) has g = -(i/2) coincident_sign.
+    """
+    sign = np.sign(aux.dy) if aux.dy != 0.0 else aux.coincident_sign
+    return -0.5j * sign
+
+
+def _closed_form_right_action(a1, a2, mu):
+    """(e_1^R K_2-hat)(mu) (2 x n) in closed form.
+
+    With a = y_1, G_1 = g1 and G_2(s) = g2 exp(-i dy s), the integral of
+    col_1(s) row_2(s) (G_2(s) - G_2(mu))/(s - mu) over s is
+    g2 [H(mu; y_4 - a, T) - exp(-i dy mu) H(mu; y_3 - a, T)], T = t_3 - t_1,
+    H = pv_fresnel_hilbert: each part is a Gaussian Hilbert transform, and
+    their difference is regular at s = mu.
+    """
+    a, T = a1.ya, a2.ta - a1.ta
+    g1, g2 = _plane_wave_amplitude(a1), _plane_wave_amplitude(a2)
+    integral = g2 * (pv_fresnel_hilbert(mu, a2.yb - a, T)
+                     - np.exp(-1j * a2.dy * mu) * pv_fresnel_hilbert(mu, a2.ya - a, T))
+    # e_1^R(s) = (2/pi) col_1(s) [G_1, 1]: col_1 is inside the integral
+    spectral = (2.0 / math.pi) * a2.col_phase(mu) * integral
+    return np.stack([g1 * spectral, spectral], axis=0)
+
+
+def _damped_actions(a1, a2, lam, line):
+    """(K1-hat e_2^L)(lam) (n x 2) and (e_1^R K2-hat)(lam) (2 x n) on the
+    damped line grid; a coincident pair's K_p vanishes and is skipped."""
+    S, D = line.nodes, line.damped
+    g1S, g2S = line.g
+    n = len(lam)
+    compL = np.zeros((n, 2), dtype=complex)
+    compR = np.zeros((2, n), dtype=complex)
+    e2Ls = a2.e_left(S, g2S)                  # (ns, 2)
+    e1Rs = a1.e_right(S, g1S)                 # (2, ns)
+    colS1 = a1.col_phase(S)
+    rowS2 = a2.row_phase(S)
+    g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
+    chunk = _block_size(len(S))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        block = lam[lo:hi]
+        if not a1.coincident:
+            K1 = a1.row_phase(block)[:, None] * colS1[None, :] \
+                * a1.hilbert_diffquot(block[:, None], S[None, :],
+                                      g1lam[lo:hi, None], g1S[None, :])
+            for c in range(2):
+                compL[lo:hi, c] = damped_limit(K1 * e2Ls[:, c][None, :], D)
+            del K1   # one (block, ns) kernel block alive at a time: peak memory
+        if not a2.coincident:
+            # right action: integrate over the row variable of K2
+            K2 = rowS2[:, None] * a2.col_phase(block)[None, :] \
+                * a2.hilbert_diffquot(S[:, None], block[None, :],
+                                      g2S[:, None], g2lam[None, lo:hi])
+            for c in range(2):
+                compR[c, lo:hi] = damped_limit((e1Rs[c][:, None] * K2).T, D)
+            del K2
+    return compL, compR
+
+
 def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
     """E^L (n x 4) and E^R (4 x n) sampled on lam_grid.
 
     Components 3,4 of E^L are (1 + (2/pi) K1-hat) e_2^L; components 1,2 of
     E^R are e_1^R (1 + (2/pi) K2-hat) (right action).  The whole-line
-    applications use the damping policy on an oscillation-graded grid.
+    applications are closed forms at a closed-form configuration with no
+    line_grid (_closed_form); otherwise they use the damping policy on an
+    oscillation-graded grid.
     """
     a1, a2 = build_aux_fields(cfg)
-    S, D = _adapted_line_grid(cfg, policy, line_grid)
     lam = np.asarray(lam_grid, dtype=float)
     n = len(lam)
 
@@ -199,27 +298,11 @@ def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
     ER = np.zeros((4, n), dtype=complex)
     EL[:, :2] = a1.e_left(lam)
     ER[2:, :] = a2.e_right(lam)
-
-    e2Ls = a2.e_left(S)                       # (ns, 2)
-    e1Rs = a1.e_right(S)                      # (2, ns)
-    colS1 = a1.col_phase(S)
-    rowS2 = a2.row_phase(S)
-    compL = np.empty((n, 2), dtype=complex)
-    compR = np.empty((2, n), dtype=complex)
-    chunk = _block_size(len(S))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = lam[lo:hi]
-        K1 = a1.row_phase(block)[:, None] * colS1[None, :] \
-            * a1.hilbert_diffquot(block[:, None], S[None, :])
-        for c in range(2):
-            compL[lo:hi, c] = damped_limit(K1 * e2Ls[:, c][None, :], D)
-        del K1   # one (block, ns) kernel block alive at a time: peak memory
-        # right action: integrate over the row variable of K2
-        K2 = rowS2[:, None] * a2.col_phase(block)[None, :] \
-            * a2.hilbert_diffquot(S[:, None], block[None, :])
-        for c in range(2):
-            compR[c, lo:hi] = damped_limit((e1Rs[c][:, None] * K2).T, D)
+    if _closed_form(cfg, line_grid):
+        compL = np.zeros((n, 2), dtype=complex)       # K_1 = 0
+        compR = _closed_form_right_action(a1, a2, lam)
+    else:
+        compL, compR = _damped_actions(a1, a2, lam, _line_samples(cfg, policy, line_grid))
     EL[:, 2:] = a2.e_left(lam) + (2.0 / math.pi) * compL
     ER[:2, :] = a1.e_right(lam) + (2.0 / math.pi) * compR
     return EL, ER
@@ -230,6 +313,8 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
 
     Coincident pairs (dy = dt = 0) make the sigma_+ block a delta
     distribution: DegenerateDelta when strict, entry 0 with a flag otherwise.
+    The integral block is a closed form at a closed-form configuration with
+    no line_grid (_closed_form), and damped otherwise.
     """
     a1, a2 = build_aux_fields(cfg)
     Q = np.zeros((4, 4), dtype=complex)
@@ -243,12 +328,21 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
             g = 0.0
             degenerate.append((block, block + 1))
         Q[block:block + 2, block:block + 2] = -g * SIGMA_PLUS
-    S, D = _adapted_line_grid(cfg, policy, line_grid)
-    e1Rs = a1.e_right(S)   # (2, ns)
-    e2Ls = a2.e_left(S)    # (ns, 2)
+    if _closed_form(cfg, line_grid):
+        # col_1 row_2 = exp(i T s^2 - i (y_3 - a) s) and G_2 = g2 exp(-i dy s),
+        # so both integrals are 2 pi gaussian_fresnel; e_1^R = (2/pi) col_1 [G_1, 1]
+        a, T = a1.ya, a2.ta - a1.ta
+        row = 2.0 * math.pi * gaussian_fresnel(a2.ya - a, T)
+        row_g = _plane_wave_amplitude(a2) * 2.0 * math.pi * gaussian_fresnel(a2.yb - a, T)
+        Q[:2, 2:] = -(2.0 / math.pi) * np.outer([_plane_wave_amplitude(a1), 1.0],
+                                                [-row, row_g])
+        return Q, degenerate
+    line = _line_samples(cfg, policy, line_grid)
+    e1Rs = a1.e_right(line.nodes, line.g[0])   # (2, ns)
+    e2Ls = a2.e_left(line.nodes, line.g[1])    # (ns, 2)
     for r in range(2):
         for c in range(2):
-            Q[r, 2 + c] = -damped_limit(e1Rs[r] * e2Ls[:, c], D)
+            Q[r, 2 + c] = -damped_limit(e1Rs[r] * e2Ls[:, c], line.damped)
     return Q, degenerate
 
 
@@ -285,13 +379,15 @@ def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_g
     """M-hat on the grid: kernel -(pi/2) E^L(lam).E^R(mu)/(lam - mu).
 
     Off-diagonal entries contract the sampled E vectors; the diagonal is the
-    analytic limit, whose integral term is evaluated with the damping policy.
+    analytic limit, whose integral term vanishes when a pair is coincident
+    (the difference quotient of a constant G) and is otherwise evaluated
+    with the damping policy.
     """
     a1, a2 = build_aux_fields(cfg)
     lam = quadrature.nodes
     n = len(lam)
-    line_grid = _adapted_line_grid(cfg, policy, line_grid)
-    S, D = line_grid
+    if not _closed_form(cfg, line_grid):
+        line_grid = _line_samples(cfg, policy, line_grid)
     if e_vectors is None:
         EL, ER = build_E_vectors(cfg, lam, line_grid=line_grid)
     else:
@@ -302,17 +398,23 @@ def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_g
     off = ~np.eye(n, dtype=bool)
     mat[off] = -(math.pi / 2.0) * num[off] / diff[off]
     # diagonal: -A1 B1 G1' - A2 B2 G2' - (2/pi) * cross integral
-    cross = np.empty(n, dtype=complex)
-    mids = a1.col_phase(S) * a2.row_phase(S)
-    chunk = _block_size(len(S))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = lam[lo:hi]
-        integ = (a1.row_phase(block)[:, None] * a2.col_phase(block)[:, None]
-                 * mids[None, :]
-                 * a1.hilbert_diffquot(block[:, None], S[None, :])
-                 * a2.hilbert_diffquot(S[None, :], block[:, None]))
-        cross[lo:hi] = damped_limit(integ, D)
+    cross = np.zeros(n, dtype=complex)
+    if not (a1.coincident or a2.coincident):
+        S, D = line_grid.nodes, line_grid.damped
+        g1S, g2S = line_grid.g
+        g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
+        mids = a1.col_phase(S) * a2.row_phase(S)
+        chunk = _block_size(len(S))
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            block = lam[lo:hi]
+            integ = (a1.row_phase(block)[:, None] * a2.col_phase(block)[:, None]
+                     * mids[None, :]
+                     * a1.hilbert_diffquot(block[:, None], S[None, :],
+                                           g1lam[lo:hi, None], g1S[None, :])
+                     * a2.hilbert_diffquot(S[None, :], block[:, None],
+                                           g2S[None, :], g2lam[lo:hi, None]))
+            cross[lo:hi] = damped_limit(integ, D)
     diag = (-a1.row_phase(lam) * a1.col_phase(lam) * a1.hilbert_deriv(lam)
             - a2.row_phase(lam) * a2.col_phase(lam) * a2.hilbert_deriv(lam)
             - (2.0 / math.pi) * cross)
@@ -325,11 +427,16 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     """b = B + Q with B_{jk} = integral of F_j^R E_k^L over the spectral domain.
 
     F^R solves the transposed resolvent system F^R (1 - (2/pi) M-hat) = E^R.
-    A given line_grid (nodes, damped-weight matrix) replaces the one built
-    for cfg under adapt_policy(cfg, policy).
+    At a closed-form configuration (first pair coincident, second pair
+    equal-time, as correlation(0, x, t)) with no line_grid, every
+    whole-line integral is a closed form and no line grid is built.
+    Otherwise the integrals are damped on the given line_grid (nodes,
+    damped-weight matrix), or on the grid built for cfg under
+    adapt_policy(cfg, policy), with G_1 and G_2 sampled on it once.
     """
     quad, weight_fn = _spectral_grid(ensemble, n)
-    line_grid = _adapted_line_grid(cfg, policy, line_grid)
+    if not _closed_form(cfg, line_grid):
+        line_grid = _line_samples(cfg, policy, line_grid)
     EL, ER = build_E_vectors(cfg, quad.nodes, line_grid=line_grid)
     op = build_M_operator(cfg, quad, weight_fn=weight_fn, line_grid=line_grid,
                           e_vectors=(EL, ER))

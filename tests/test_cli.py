@@ -153,6 +153,47 @@ def test_density_command(tmp_path):
     assert 0.1 < d < 1.0
 
 
+def test_boundary_record_reports_no_damping(tmp_path):
+    # the x1=0 route integrates in closed form: --damping/--orders are
+    # accepted but no schedule runs, so none is reported
+    out = tmp_path / "b.json"
+    code = main(["boundary", "--x", "0.9", "--t", "0.4", "--D", "1", "--n", "24",
+                 "--n-spectral", "16", "--damping", "4e-3", "--orders", "4",
+                 "--format", "json", "--output", str(out)])
+    assert code == 0
+    rec = json.loads(out.read_text())[0]
+    assert rec["deltas"] == ""
+    assert rec["flag"] == ""
+    from bosefredholm.correlators import PhysicalPoint, correlation_boundary_neumann
+    from bosefredholm.kernels import NEUMANN, ThermalParams
+    pt = PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
+    ref = correlation_boundary_neumann(0.9, 0.4, pt, n=24, n_spectral=16)
+    assert abs(complex(rec["value_re"], rec["value_im"]) - ref) < 1e-12
+
+
+def test_consecutive_calls_share_no_state(tmp_path):
+    # the parser is built once per process; one call's arguments and
+    # defaults never leak into the next
+    first = tmp_path / "d1.csv"
+    second = tmp_path / "d2.csv"
+    assert main(["density", "--T", "1", "--h", "1", "--n", "40",
+                 "--output", str(first)]) == 0
+    assert main(["boundary", "--x", "0.5", "--t", "0.2", "--D", "1", "--n", "12",
+                 "--n-spectral", "8", "--output", str(tmp_path / "b.csv")]) == 0
+    assert main(["density", "--T", "1", "--h", "1", "--output", str(second)]) == 0
+    n_col = CSV_HEADER.split(",").index("n")
+    assert first.read_text().splitlines()[1].split(",")[n_col] == "40"
+    assert second.read_text().splitlines()[1].split(",")[n_col] == "400"
+    # a flag of the previous command is still rejected by the next one
+    code, _ = run_cli(["correlate", "--eps", "+", "--x1", "0.1", "--x2", "0.2",
+                       "--t", "0", "--D", "1", "--n-spectral", "8"])
+    assert code == 1
+    # and a parse error leaves the parser usable
+    code, out = run_cli(["static", "--eps", "+", "--x1", "0.4", "--x2", "0.9",
+                         "--T", "0.5", "--n", "12"])
+    assert code == 0 and out.startswith(CSV_HEADER)
+
+
 def test_kernel_dump(tmp_path):
     out = tmp_path / "k.csv"
     code = main(["kernel-dump", "--kernel", "W", "--x2", "0.9", "--n", "4",

@@ -21,7 +21,7 @@ from bosefredholm.kernels import (
     rank_one_factors,
     step_weight,
 )
-from bosefredholm.special_integrals import pv_fresnel_hilbert
+from bosefredholm.special_integrals import pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
 
 
 def test_fermi_weight_examples():
@@ -109,14 +109,22 @@ def kernel_L_scalar(lam, mu, g):
         return complex((math.sin(xM * d) - math.sin(xm * d)) / d)
     brace = (np.exp(1j * t * lam * lam) * math.sin(x1 * d)
              + np.exp(1j * t * mu * mu) * math.sin(x2 * d))
+    terms = ((+1.0, x1 - x2, -mu * x1 + lam * x2),
+             (+1.0, x2 - x1, mu * x1 - lam * x2),
+             (-1.0, x1 + x2, -mu * x1 - lam * x2),
+             (-1.0, -x1 - x2, mu * x1 + lam * x2))
+    gauge = np.exp(-0.5j * t * (lam * lam + mu * mu))
+    if abs(d) < 1e-6:
+        # each difference quotient of H is the derivative at the midpoint
+        pv = 0.0j
+        for sgn, X, phi in terms:
+            pv -= sgn * 0.25 * np.exp(1j * phi) * pv_fresnel_hilbert_dlam(0.5 * (lam + mu), -X, t)
+        return complex(gauge * (brace / d + (2.0 / math.pi) * pv))
     pv = 0.0j
-    for sgn, X, phi in ((+1.0, x1 - x2, -mu * x1 + lam * x2),
-                        (+1.0, x2 - x1, mu * x1 - lam * x2),
-                        (-1.0, x1 + x2, -mu * x1 - lam * x2),
-                        (-1.0, -x1 - x2, mu * x1 + lam * x2)):
+    for sgn, X, phi in terms:
         pv += sgn * 0.25 * np.exp(1j * phi) * (pv_fresnel_hilbert(mu, -X, t)
                                                - pv_fresnel_hilbert(lam, -X, t))
-    return complex(np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv) / d)
+    return complex(gauge * (brace + (2.0 / math.pi) * pv) / d)
 
 
 _COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -132,11 +140,14 @@ def _kernel_meshes(draw):
     mu = []
     for _ in range(draw(st.integers(1, 5))):
         base = draw(st.sampled_from(lam))
-        how = draw(st.sampled_from(("free", "diagonal", "below", "above", "reflected")))
+        how = draw(st.sampled_from(("free", "diagonal", "below", "above", "near",
+                                    "outside", "reflected")))
         side = draw(st.sampled_from((-1.0, 1.0)))
-        # |lam - mu| on either side of the 1e-12 diagonal threshold
+        # |lam - mu| on either side of the 1e-12 diagonal threshold and of
+        # the 1e-6 near-diagonal threshold
         mu.append({"free": draw(_COORD), "diagonal": base,
                    "below": base + side * 0.99e-12, "above": base + side * 1.01e-12,
+                   "near": base + side * 0.99e-6, "outside": base + side * 1.01e-6,
                    "reflected": -base}[how])
     return GeometryParams(x1, x2, t), np.array(lam), np.array(mu)
 
@@ -169,6 +180,15 @@ def test_kernel_V_mesh_evaluates_hilbert_on_node_vectors(monkeypatch):
     nodes = np.linspace(0.1, 3.0, 40)
     kernel_V(nodes[:, None], nodes[None, :], NEUMANN, GeometryParams(0.4, 1.1, 0.6))
     assert sum(points) == 16 * len(nodes)
+
+
+def test_kernel_L_near_diagonal_has_no_cancellation():
+    # 1e-12 <= |lam - mu| < 1e-6 takes the midpoint derivative of each H, so
+    # L(lam, lam + d) approaches the analytic diagonal linearly in d
+    g = GeometryParams(1.0, 1.0, -1.0)
+    lam = 1.0
+    for d in (1.01e-12, 1e-10, 1e-8):
+        assert abs(kernel_L(lam, lam + d, g) - kernel_L_diag(lam, g)) <= 2 * d + 1e-12, d
 
 
 def test_kernel_L_scalar_input_gives_complex():

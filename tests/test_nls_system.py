@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bosefredholm.correlators import PhysicalPoint
+from bosefredholm.correlators import (
+    PhysicalPoint,
+    correlation_boundary_neumann,
+    correlation_ground,
+)
 from bosefredholm.fredholm import build_grid
 from bosefredholm.kernels import (
     GeometryParams,
@@ -16,6 +20,8 @@ from bosefredholm.nls_system import (
     AuxField,
     FourPointConfig,
     P_MATRICES,
+    _line_grid,
+    adapt_policy,
     build_aux_fields,
     build_b,
     build_E_vectors,
@@ -23,7 +29,12 @@ from bosefredholm.nls_system import (
     build_M_operator,
     build_Q,
 )
-from bosefredholm.special_integrals import RegularizationPolicy, gaussian_fresnel
+from bosefredholm.special_integrals import (
+    FINE_POLICY,
+    RegularizationPolicy,
+    gaussian_fresnel,
+    pv_fresnel_hilbert,
+)
 
 POL3 = RegularizationPolicy(damping=4e-3)
 POL4 = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
@@ -224,3 +235,67 @@ def test_b_thermal_runs_and_matches_T0_limit():
     b_cold = build_b(cfg, pt_cold, n=64, policy=POL3).b[0, 3]
     b_zero = build_b(cfg, pt_zero, n=32, policy=POL3).b[0, 3]
     assert abs(b_cold - b_zero) < 5e-3 * abs(b_zero)
+
+
+# (x, t, T, coincident_sign) of the configuration (0, 0, -x, x; 0, 0, t, t):
+# both walls of t, t = 0, T > 0, x = 0 (both pairs coincident), the
+# symmetric convention, and x < 0 (sign(dy) = -1)
+CLOSED_FORM_POINTS = ((0.3, 0.1, 0.0, 1), (0.9, 0.4, 0.0, 1), (0.7, 0.0, 0.0, 1),
+                      (0.7, -0.3, 0.5, 1), (0.0, 0.4, 0.0, 1), (0.3, 0.1, 0.5, 0),
+                      (-0.5, 0.3, 0.0, 1))
+
+
+@pytest.mark.parametrize("x,t,T,cs", CLOSED_FORM_POINTS)
+def test_closed_form_b_matches_damped_oracle(x, t, T, cs):
+    cfg = FourPointConfig(y=(0.0, 0.0, -x, x), t=(0.0, 0.0, t, t), coincident_sign=cs)
+    pt = PhysicalPoint(0.0, 1.0, t, NEUMANN, ThermalParams(h=1.0, T=T),
+                       D=1.0 if T == 0.0 else 0.0)
+    closed = build_b(cfg, pt, n=32)
+    damped = build_b(cfg, pt, n=32,
+                     line_grid=_line_grid(cfg, adapt_policy(cfg, FINE_POLICY)))
+    dev = np.max(np.abs(closed.b - damped.b)) / np.max(np.abs(damped.b))
+    assert dev <= 1e-7
+    assert closed.degenerate_entries == damped.degenerate_entries
+
+
+def test_closed_form_builds_no_line_grid(monkeypatch):
+    import bosefredholm.nls_system as nls
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("line grid built at a closed-form configuration")
+
+    monkeypatch.setattr(nls, "graded_line_grid", forbidden)
+    pt = PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
+    mats = build_b(FourPointConfig.correlation(0.0, 0.9, 0.4), pt, n=16)
+    assert np.all(np.isfinite(mats.b))
+    # any other configuration still integrates on a line grid
+    with pytest.raises(AssertionError):
+        build_b(FourPointConfig.correlation(0.1, 0.9, 0.4), pt, n=16)
+
+
+@pytest.mark.parametrize("x,t", ((0.2, 0.1), (1.1, 0.55), (2.0, 1.0)))
+def test_boundary_route_matches_dynamical_route(x, t):
+    # criterion-5 points: the closed-form b leaves only the Nystrom error
+    pt = PhysicalPoint(0.0, x, t, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
+    ref = correlation_ground(pt, n=72, with_error=False).value
+    val = correlation_boundary_neumann(x, t, pt, n=72, n_spectral=32)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_damped_b_samples_each_hilbert_once_per_line_grid(monkeypatch):
+    # G_1 and G_2 are evaluated on the line grid once per build_b, not once
+    # per builder, vector component and spectral block
+    import bosefredholm.nls_system as nls
+    cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
+    pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=0.7)
+    line_grid = _line_grid(cfg, RegularizationPolicy(damping=2e-2))
+    ns = len(line_grid[0])
+    sizes = []
+
+    def counting(lam, y, t):
+        sizes.append(np.size(lam))
+        return pv_fresnel_hilbert(lam, y, t)
+
+    monkeypatch.setattr(nls, "pv_fresnel_hilbert", counting)
+    build_b(cfg, pt, n=12, line_grid=line_grid)
+    assert sum(size for size in sizes if size >= ns) == 2 * ns
