@@ -7,6 +7,7 @@ momentum lattice comparisons use exact integer quantum numbers.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -67,32 +68,48 @@ def energy(lams, h):
 
 
 def wave_function(z, sys):
-    """Normalized N-particle wave function at coordinates z (len N).
+    """Normalized N-particle wave function at coordinates z of shape (..., N).
 
     Neumann: (2^N / sqrt((1+delta_{I1,0}) N!)) * prod sgn(z_j - z_k) *
     det cos(lam_j z_k); Dirichlet: ((2i)^N / sqrt(N!)) * prod sgn * det sin.
-    Norm is (2L)^N; coincident coordinates give 0.
+    Norm is (2L)^N; coincident coordinates give 0.  A stack of points is
+    one stacked determinant and returns shape z.shape[:-1]; one point
+    returns a complex.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        z = z[None]
     N = sys.N
-    if len(z) != N:
-        raise InvalidState(f"expected {N} coordinates, got {len(z)}")
+    if z.shape[-1] != N:
+        raise InvalidState(f"expected {N} coordinates, got {z.shape[-1]}")
     if N == 0:
-        return 1.0 + 0.0j
-    lams = bethe_momenta(sys)
+        out = np.ones(z.shape[:-1], dtype=complex)
+        return out if out.ndim else complex(out)
     sgn = 1.0
-    for j in range(N):
-        for k in range(j + 1, N):
-            if z[j] == z[k]:
-                return 0.0 + 0.0j
-            sgn *= math.copysign(1.0, z[j] - z[k])
+    for j, k in combinations(range(N), 2):
+        sgn = sgn * np.sign(z[..., j] - z[..., k])
+    arg = bethe_momenta(sys)[:, None] * z[..., None, :]
     if sys.kind.eps > 0:
-        mat = np.cos(np.outer(lams, z))
+        mat = np.cos(arg)
         cons = 2.0 ** N / math.sqrt((2.0 if sys.I[0] == 0 else 1.0) * math.factorial(N))
     else:
-        mat = np.sin(np.outer(lams, z))
+        mat = np.sin(arg)
         cons = (2j) ** N / math.sqrt(math.factorial(N))
-    return complex(cons * sgn * np.linalg.det(mat))
+    out = cons * sgn * np.linalg.det(mat)
+    return out.astype(complex) if np.ndim(out) else complex(out)
+
+
+def _tensor_rule(panels, n_panels, N):
+    """Gauss-Legendre tensor-product rule over panels^N.
+
+    Returns points of shape (m,)*N + (N,) and weights of shape (m,)*N, with
+    m the total node count of the composite rule on the panels.
+    """
+    rules = [gauss_panels(a, b, n_panels) for a, b in panels]
+    z = np.concatenate([r[0] for r in rules])
+    w = np.concatenate([r[1] for r in rules])
+    pts = np.stack(np.meshgrid(*[z] * N, indexing="ij"), axis=-1)
+    return pts, reduce(np.multiply.outer, [w] * N)
 
 
 def orthogonality_check(sys_a, sys_b, n=80):
@@ -102,20 +119,10 @@ def orthogonality_check(sys_a, sys_b, n=80):
     N = sys_a.N
     if N > 2:
         raise InvalidState("orthogonality quadrature limited to N <= 2")
-    L = sys_a.L
-    z, w = gauss_panels(0.0, L, max(4, n // 16))
     if N == 0:
         return 1.0 + 0.0j
-    if N == 1:
-        vals = np.array([np.conj(wave_function([zz], sys_a)) * wave_function([zz], sys_b)
-                         for zz in z])
-        return complex(np.sum(w * vals))
-    tot = 0.0j
-    for i, z1 in enumerate(z):
-        row = np.array([np.conj(wave_function([z1, z2], sys_a)) * wave_function([z1, z2], sys_b)
-                        for z2 in z])
-        tot += w[i] * np.sum(w * row)
-    return complex(tot)
+    z, w = _tensor_rule([(0.0, sys_a.L)], max(4, n // 16), N)
+    return complex(np.sum(w * np.conj(wave_function(z, sys_a)) * wave_function(z, sys_b)))
 
 
 def permutation_identity_check(N, f, g):
@@ -254,24 +261,10 @@ def form_factor_direct(inp, n=110):
     if N > 2:
         raise InvalidState("direct form-factor oracle limited to N <= 2")
     panels = [(0.0, x), (x, L)] if 0.0 < x < L else [(0.0, L)]
-    if N == 1:
-        tot = 0.0j
-        for a, b in panels:
-            z, w = gauss_panels(a, b, max(4, n // 16))
-            vals = np.array([np.conj(wave_function([zz, x], bra)) * wave_function([zz], ket)
-                             for zz in z])
-            tot += np.sum(w * vals)
-        return complex(math.sqrt(2.0) * tot)
-    tot = 0.0j
-    for a1, b1 in panels:
-        z1, w1 = gauss_panels(a1, b1, max(3, n // 24))
-        for a2, b2 in panels:
-            z2, w2 = gauss_panels(a2, b2, max(3, n // 24))
-            for i, zz1 in enumerate(z1):
-                row = np.array([np.conj(wave_function([zz1, zz2, x], bra))
-                                * wave_function([zz1, zz2], ket) for zz2 in z2])
-                tot += w1[i] * np.sum(w2 * row)
-    return complex(math.sqrt(3.0) * tot)
+    z, w = _tensor_rule(panels, max(4, n // 16) if N == 1 else max(3, n // 24), N)
+    zx = np.concatenate([z, np.full(z.shape[:-1] + (1,), x)], axis=-1)
+    tot = np.sum(w * np.conj(wave_function(zx, bra)) * wave_function(z, ket))
+    return complex(math.sqrt(N + 1.0) * tot)
 
 
 # ---------------------------------------------------------------------------

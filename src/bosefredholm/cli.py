@@ -31,6 +31,7 @@ from .kernels import (
 )
 from .correlators import (
     PhysicalPoint,
+    boundary_w_det,
     correlation_boundary_neumann,
     correlation_ground,
     correlation_static,
@@ -218,11 +219,14 @@ def cmd_boundary(args):
     records = []
     thermal = ThermalParams(h=args.h, T=args.T)
     for x in parse_range(args.x):
+        w_det = None
         for t in parse_range(args.t):
             start = time.perf_counter()
             pt = PhysicalPoint(0.0, x, t, NEUMANN, thermal, D=args.D)
+            if w_det is None:
+                w_det = boundary_w_det(x, t, pt, n=args.n)
             v = correlation_boundary_neumann(x, t, pt, n=args.n,
-                                             n_spectral=args.n_spectral)
+                                             n_spectral=args.n_spectral, w_det=w_det)
             ms = 1000.0 * (time.perf_counter() - start)
             records.append(_record((0.0, x, t, args.T, args.h, args.D, "+"),
                                    v, float("nan"), float("nan"), float("nan"),

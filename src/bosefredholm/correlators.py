@@ -30,7 +30,6 @@ from .kernels import (
     kernel_V,
     kernel_W,
     rank_one_factors,
-    step_weight,
 )
 from .special_integrals import gaussian_fresnel
 
@@ -174,30 +173,25 @@ def boundary_w_det(x, t, pt, n=64):
     return fredholm_det(op)
 
 
-def correlation_boundary_neumann(x, t, pt, n=64, n_spectral=None):
+def correlation_boundary_neumann(x, t, pt, n=64, n_spectral=None, w_det=None):
     """x1 = 0 Neumann correlator: 2 exp(-i h t) det(1 - (2/pi) W-hat) * b_14.
 
     b_14 is evaluated at the four-point configuration (0, 0, -x, x; 0, 0, t, t)
     by the integrable-system module, over [-q, q] (T = 0) or the weighted
     line (T > 0); at this configuration every whole-line integral of b has
-    a closed form, so no line grid and no damping enter.
+    a closed form, so no line grid and no damping enter.  w_det is
+    boundary_w_det(x, ., pt, n) when the caller already has it (it does not
+    depend on t, so a time scan computes it once per x).
     """
     from .nls_system import FourPointConfig, build_b
 
     if pt.kind.eps != 1:
         raise ValueError("boundary route is Neumann-only")
-    det = boundary_w_det(x, t, pt, n=n)
+    det = boundary_w_det(x, t, pt, n=n) if w_det is None else w_det
     cfg = FourPointConfig.correlation(0.0, x, t)
     mats = build_b(cfg, ensemble=pt, n=n_spectral or n)
     phase = np.exp(-1j * pt.thermal.h * t)
     return complex(2.0 * phase * det * mats.b[0, 3])
-
-
-def _theta_op(x_lo, x_hi, kind, p, n):
-    quad = build_grid((x_lo, x_hi), n)
-    return DiscretizedOperator.from_kernel(
-        lambda a, b: kernel_theta(a, b, kind, p).astype(complex),
-        quad, 2.0 / math.pi)
 
 
 def correlation_static(x1, x2, kind, p, n=64):
@@ -205,46 +199,15 @@ def correlation_static(x1, x2, kind, p, n=64):
 
     Computed as -(1/2) * minor of (1 - (2/pi) theta-hat) over [min(x1,x2),
     max(x1,x2)], pinned at (row x2, column x1).  The sign and interval are
-    fixed by matching the t -> 0 limit of the dynamical representation; see
-    minor_symmetric_interval_form / minor_step_weight_form for the alternate
-    printed normalizations kept for comparison.
+    fixed by matching the t -> 0 limit of the dynamical representation.
     """
     lo, hi = min(x1, x2), max(x1, x2)
     if hi - lo < 1e-12:
         return complex(kernel_theta(x2, x1, kind, p) / math.pi)
-    op = _theta_op(lo, hi, kind, p, n)
-    return complex(-0.5 * fredholm_minor_first(op, x2, x1))
-
-
-def minor_symmetric_interval_form(x1, x2, kind, p, n=64):
-    """(1/2) * minor with the operator over [-x1, x2] (alternate path)."""
-    op = _theta_op(-x1, x2, kind, p, n)
-    return complex(0.5 * fredholm_minor_first(op, x2, x1))
-
-
-def minor_step_weight_form(x1, x2, kind, p, n=64):
-    """(1/2) * minor with the step-weighted half-line operator (alternate path).
-
-    Kernel theta(xi, xi') * (E(x1 - xi') + E(x2 - xi')) on [0, max(x1, x2)];
-    the weight is piecewise constant, so the grid is split at min(x1, x2).
-    """
-    lo, hi = min(x1, x2), max(x1, x2)
-    if lo <= 0.0:
-        quads = [build_grid((0.0, hi), n)]
-    else:
-        quads = [build_grid((0.0, lo), n), build_grid((lo, hi), n)]
-    nodes = np.concatenate([q.nodes for q in quads])
-    weights = np.concatenate([q.weights for q in quads])
-    from .fredholm import Quadrature
-    quad = Quadrature(nodes=nodes, weights=weights, a=0.0, b=hi)
-
-    def wfn(z):
-        return step_weight(x1, x2, z).astype(float)
-
     op = DiscretizedOperator.from_kernel(
         lambda a, b: kernel_theta(a, b, kind, p).astype(complex),
-        quad, 2.0 / math.pi, weight_fn=wfn)
-    return complex(0.5 * fredholm_minor_first(op, x2, x1))
+        build_grid((lo, hi), n), 2.0 / math.pi)
+    return complex(-0.5 * fredholm_minor_first(op, x2, x1))
 
 
 def static_ground_K(x1, x2, kind, momentum, n=64):

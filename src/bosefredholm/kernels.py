@@ -86,16 +86,20 @@ def _sinc(x, u):
 
 
 def _pv_terms(lam, mu, x1, x2):
-    """(sign, X, phi) of the four Gaussian Hilbert terms of kernel_L.
+    """(sign, X, e^{i phi}) of the four Gaussian Hilbert terms of kernel_L.
 
     PV int (1/(s-mu) - 1/(s-lam)) e^{its^2} sin((s-mu)x1) sin((s-lam)x2) ds,
     via sinA sinB = (e^{i(A-B)} + e^{-i(A-B)} - e^{i(A+B)} - e^{-i(A+B)})/4,
-    is the sum of sign/4 e^{i phi} (H(mu, -X) - H(lam, -X)).
+    is the sum of sign/4 e^{i phi} (H(mu, -X) - H(lam, -X)).  Each phase
+    phi = +-x1 mu +- x2 lam separates, so e^{i phi} is a product of the
+    node-vector exponentials e^{i x2 lam} and e^{i x1 mu} or their conjugates.
     """
-    return ((+1.0, x1 - x2, -mu * x1 + lam * x2),
-            (+1.0, x2 - x1, mu * x1 - lam * x2),
-            (-1.0, x1 + x2, -mu * x1 - lam * x2),
-            (-1.0, -x1 - x2, mu * x1 + lam * x2))
+    el = np.exp(1j * x2 * lam)
+    em = np.exp(1j * x1 * mu)
+    return ((+1.0, x1 - x2, el * em.conj()),
+            (+1.0, x2 - x1, el.conj() * em),
+            (-1.0, x1 + x2, el.conj() * em.conj()),
+            (-1.0, -x1 - x2, el * em))
 
 
 def kernel_L(lam, mu, g):
@@ -103,8 +107,10 @@ def kernel_L(lam, mu, g):
 
     For t != 0 the principal-value part is expanded (product-to-sum on the
     two sines) into four Gaussian Hilbert transforms.  lam and mu enter each
-    of them separately, so pv_fresnel_hilbert runs on the lam and mu arrays
-    as given: an (n, 1) x (1, n) mesh costs 8n points, not n^2 per term.
+    of them separately, so pv_fresnel_hilbert runs once on each of the lam
+    and mu arrays, broadcast over the four shifts: an (n, 1) x (1, n) mesh
+    costs 8n points, not n^2 per term.  The phases and the gauge factor
+    exp(-it(lam^2 + mu^2)/2) are products of node-vector exponentials too.
     At t = 0 the damped regularization collapses to
     [sin(xmax*d) - sin(xmin*d)]/d, d = lam - mu.  Entries with
     |d| < 1e-12 take the analytic diagonal kernel_L_diag; for t != 0,
@@ -125,11 +131,15 @@ def kernel_L(lam, mu, g):
     else:
         brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
                  + np.exp(1j * t * mu * mu) * np.sin(x2 * d))
+        terms = _pv_terms(lam, mu, x1, x2)
+        minus_X = -np.array([X for _, X, _ in terms])
+        h_mu = pv_fresnel_hilbert(mu[..., None], minus_X, t)
+        h_lam = pv_fresnel_hilbert(lam[..., None], minus_X, t)
         pv = 0.0j
-        for sgn, X, phi in _pv_terms(lam, mu, x1, x2):
-            pv = pv + sgn * 0.25 * np.exp(1j * phi) * (pv_fresnel_hilbert(mu, -X, t)
-                                                       - pv_fresnel_hilbert(lam, -X, t))
-        out = np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv) / d
+        for k, (sgn, _, phase) in enumerate(terms):
+            pv = pv + sgn * 0.25 * phase * (h_mu[..., k] - h_lam[..., k])
+        gauge = np.exp(-0.5j * t * lam * lam) * np.exp(-0.5j * t * mu * mu)
+        out = gauge * (brace + (2.0 / math.pi) * pv) / d
     out = np.asarray(out, dtype=complex)
     if np.any(diag):
         out[diag] = kernel_L_diag(np.broadcast_to(lam, diag.shape)[diag], g)
@@ -151,8 +161,8 @@ def _kernel_L_near_diag(lam, mu, g):
     brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
              + np.exp(1j * t * mu * mu) * np.sin(x2 * d)) / d
     pv = 0.0j
-    for sgn, X, phi in _pv_terms(lam, mu, x1, x2):
-        pv = pv - sgn * 0.25 * np.exp(1j * phi) * pv_fresnel_hilbert_dlam(mid, -X, t)
+    for sgn, X, phase in _pv_terms(lam, mu, x1, x2):
+        pv = pv - sgn * 0.25 * phase * pv_fresnel_hilbert_dlam(mid, -X, t)
     return np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv)
 
 
@@ -229,6 +239,11 @@ def kernel_theta(xi, eta, kind, p, n_panels=60):
     theta(xi, eta) = int_0^inf fermi(nu) [cos((xi-eta)nu) + eps cos((xi+eta)nu)] dnu.
     At T = 0 this closes to the static sine kernel with momentum sqrt(h).
     Broadcasts over xi/eta (they must broadcast together).
+
+    For T > 0 the bracket is 2 cos(xi nu) cos(eta nu) (Neumann) or
+    2 sin(xi nu) sin(eta nu) (Dirichlet), so the nu-quadrature is a product
+    of factors evaluated on xi and eta separately: an (n, 1) x (1, n) mesh
+    costs O(n m) trig calls for m nodes, not n^2 m.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -237,10 +252,9 @@ def kernel_theta(xi, eta, kind, p, n_panels=60):
         return out
     cut = thermal_cut(p.h, p.T)
     nu, w = gauss_panels(0.0, cut, n_panels)
-    th = fermi_weight(nu, p) * w
-    a = (xi - eta)[..., None]
-    b = (xi + eta)[..., None]
-    out = (np.cos(a * nu) + kind.eps * np.cos(b * nu)) @ th
+    trig = np.cos if kind.eps > 0 else np.sin
+    out = np.einsum("...k,...k->...", trig(xi[..., None] * nu) * (2.0 * fermi_weight(nu, p) * w),
+                    trig(eta[..., None] * nu))
     return out if np.ndim(out) else float(out)
 
 

@@ -320,13 +320,14 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
     Q = np.zeros((4, 4), dtype=complex)
     degenerate = []
     for block, aux in ((0, a1), (2, a2)):
-        try:
-            g = gaussian_fresnel(aux.dy, aux.dt)
-        except DegenerateDelta:
+        if aux.coincident:
             if strict:
-                raise
+                raise DegenerateDelta(f"coincident pair {block // 2 + 1}: the sigma_+ block "
+                                      "of Q is gaussian_fresnel(0, 0), a delta distribution")
             g = 0.0
             degenerate.append((block, block + 1))
+        else:
+            g = gaussian_fresnel(aux.dy, aux.dt)
         Q[block:block + 2, block:block + 2] = -g * SIGMA_PLUS
     if _closed_form(cfg, line_grid):
         # col_1 row_2 = exp(i T s^2 - i (y_3 - a) s) and G_2 = g2 exp(-i dy s),

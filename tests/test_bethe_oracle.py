@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosefredholm.bethe_oracle import (
     FiniteSystem,
@@ -53,6 +55,64 @@ def test_wave_function_basics():
     a = wave_function([0.4, 1.9], s2)
     b = wave_function([1.9, 0.4], s2)
     assert a == pytest.approx(b)
+
+
+def wave_function_scalar(z, sys):
+    """Scalar oracle of wave_function: one point of N coordinates per call."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    N = sys.N
+    if N == 0:
+        return 1.0 + 0.0j
+    lams = bethe_momenta(sys)
+    sgn = 1.0
+    for j in range(N):
+        for k in range(j + 1, N):
+            if z[j] == z[k]:
+                return 0.0 + 0.0j
+            sgn *= math.copysign(1.0, z[j] - z[k])
+    if sys.kind.eps > 0:
+        mat = np.cos(np.outer(lams, z))
+        cons = 2.0 ** N / math.sqrt((2.0 if sys.I[0] == 0 else 1.0) * math.factorial(N))
+    else:
+        mat = np.sin(np.outer(lams, z))
+        cons = (2j) ** N / math.sqrt(math.factorial(N))
+    return complex(cons * sgn * np.linalg.det(mat))
+
+
+@st.composite
+def _wave_batches(draw):
+    kind = draw(st.sampled_from((NEUMANN, DIRICHLET)))
+    N = draw(st.integers(1, 3))
+    base = 0 if kind.eps > 0 else 1
+    I = sorted(draw(st.sets(st.integers(base, base + 6), min_size=N, max_size=N)))
+    box = draw(st.floats(0.5, 5.0))
+    shape = draw(st.sampled_from(((1,), (5,), (2, 3), (3, 1, 2))))
+    coord = st.floats(0.0, box, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    z = np.array(draw(st.lists(coord, min_size=int(np.prod(shape)) * N,
+                               max_size=int(np.prod(shape)) * N))).reshape(shape + (N,))
+    if N > 1:
+        # coincident coordinates in some points, on purpose
+        for idx in np.ndindex(shape):
+            if draw(st.booleans()):
+                j, k = draw(st.sampled_from([(j, k) for j in range(N) for k in range(j + 1, N)]))
+                z[idx + (k,)] = z[idx + (j,)]
+    return FiniteSystem(L=box, kind=kind, I=tuple(I)), z
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wave_batches())
+def test_wave_function_batch_equals_scalar_oracle(case):
+    sys_, z = case
+    out = wave_function(z, sys_)
+    assert out.shape == z.shape[:-1] and out.dtype == complex
+    for idx in np.ndindex(out.shape):
+        ref = wave_function_scalar(z[idx], sys_)
+        if len(set(z[idx])) < sys_.N:
+            assert out[idx] == 0.0, idx
+        assert abs(out[idx] - ref) <= 1e-13 * (1.0 + abs(ref)), idx
+    one = wave_function(z[(0,) * (z.ndim - 1)], sys_)
+    assert type(one) is complex
+    assert abs(one - out[(0,) * out.ndim]) <= 1e-13 * (1.0 + abs(one))
 
 
 @pytest.mark.parametrize("kind,I", [(NEUMANN, (0,)), (NEUMANN, (0, 1)),

@@ -171,6 +171,34 @@ def test_boundary_record_reports_no_damping(tmp_path):
     assert abs(complex(rec["value_re"], rec["value_im"]) - ref) < 1e-12
 
 
+def test_boundary_scan_builds_w_once_per_x(tmp_path, monkeypatch):
+    # det(1 - (2/pi) W-hat) depends on x alone: a 1 x 3 time scan assembles
+    # kernel_W once, and its records equal three single-point runs
+    import bosefredholm.correlators as correlators
+    calls = []
+    original = correlators.kernel_W
+
+    def counting(lam, mu, x):
+        calls.append(x)
+        return original(lam, mu, x)
+
+    monkeypatch.setattr(correlators, "kernel_W", counting)
+    common = ["--x", "0.9", "--D", "1", "--n", "24", "--n-spectral", "16",
+              "--format", "json"]
+    scan = tmp_path / "scan.json"
+    assert main(["boundary", "--t", "0.2:0.6:3", *common, "--output", str(scan)]) == 0
+    assert len(calls) == 1
+    records = json.loads(scan.read_text())
+    assert len(records) == 3
+    for rec, t in zip(records, ("0.2", "0.4", "0.6")):
+        single = tmp_path / f"t{t}.json"
+        assert main(["boundary", "--t", t, *common, "--output", str(single)]) == 0
+        ref = json.loads(single.read_text())[0]
+        for rec_ in (rec, ref):
+            del rec_["runtime_ms"]
+        assert rec == ref
+
+
 def test_consecutive_calls_share_no_state(tmp_path):
     # the parser is built once per process; one call's arguments and
     # defaults never leak into the next

@@ -10,11 +10,15 @@ from bosefredholm.correlators import (
     correlation_static,
     correlation_thermal,
     density_of_temperature,
-    minor_symmetric_interval_form,
-    minor_step_weight_form,
     static_ground_K,
 )
-from bosefredholm.kernels import DIRICHLET, NEUMANN, ThermalParams, kernel_theta
+from bosefredholm.fredholm import (
+    DiscretizedOperator,
+    Quadrature,
+    build_grid,
+    fredholm_minor_first,
+)
+from bosefredholm.kernels import DIRICHLET, NEUMANN, ThermalParams, kernel_theta, step_weight
 
 
 def test_density_examples():
@@ -121,6 +125,35 @@ def test_static_coincident_point():
     p = ThermalParams(h=1.0, T=0.5)
     v = correlation_static(0.7, 0.7, NEUMANN, p)
     assert v == pytest.approx(kernel_theta(0.7, 0.7, NEUMANN, p) / math.pi)
+
+
+def _theta_minor(quad, x1, x2, kind, p, weight_fn=None):
+    op = DiscretizedOperator.from_kernel(
+        lambda a, b: kernel_theta(a, b, kind, p).astype(complex),
+        quad, 2.0 / math.pi, weight_fn=weight_fn)
+    return complex(0.5 * fredholm_minor_first(op, x2, x1))
+
+
+def minor_symmetric_interval_form(x1, x2, kind, p, n=64):
+    """(1/2) * minor with the operator over [-x1, x2] (alternate path)."""
+    return _theta_minor(build_grid((-x1, x2), n), x1, x2, kind, p)
+
+
+def minor_step_weight_form(x1, x2, kind, p, n=64):
+    """(1/2) * minor with the step-weighted half-line operator (alternate path).
+
+    Kernel theta(xi, xi') * (E(x1 - xi') + E(x2 - xi')) on [0, max(x1, x2)];
+    the weight is piecewise constant, so the grid is split at min(x1, x2).
+    """
+    lo, hi = min(x1, x2), max(x1, x2)
+    if lo <= 0.0:
+        quads = [build_grid((0.0, hi), n)]
+    else:
+        quads = [build_grid((0.0, lo), n), build_grid((lo, hi), n)]
+    quad = Quadrature(nodes=np.concatenate([q.nodes for q in quads]),
+                      weights=np.concatenate([q.weights for q in quads]), a=0.0, b=hi)
+    return _theta_minor(quad, x1, x2, kind, p,
+                        weight_fn=lambda z: step_weight(x1, x2, z).astype(float))
 
 
 def test_static_alternate_paths_reported_relations():

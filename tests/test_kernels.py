@@ -21,7 +21,8 @@ from bosefredholm.kernels import (
     rank_one_factors,
     step_weight,
 )
-from bosefredholm.special_integrals import pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
+from bosefredholm.fredholm import thermal_cut
+from bosefredholm.special_integrals import gauss_panels, pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
 
 
 def test_fermi_weight_examples():
@@ -173,7 +174,7 @@ def test_kernel_V_mesh_evaluates_hilbert_on_node_vectors(monkeypatch):
     points = []
 
     def counting(lam, y, t):
-        points.append(np.size(lam))
+        points.append(np.broadcast(lam, y).size)
         return pv_fresnel_hilbert(lam, y, t)
 
     monkeypatch.setattr(kernels, "pv_fresnel_hilbert", counting)
@@ -282,6 +283,50 @@ def test_kernel_theta_t0_equals_static():
                 a = kernel_theta(xi, eta, kind, p0)
                 b = kernel_K_static(xi, eta, kind, 1.2)
                 assert abs(a - b) < 1e-10
+
+
+def kernel_theta_mesh(xi, eta, kind, p, n_panels=60):
+    """Mesh oracle of kernel_theta: the cosine transform on a (..., m) array."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if p.T == 0.0:
+        return kernel_K_static(xi, eta, kind, math.sqrt(p.h))
+    nu, w = gauss_panels(0.0, thermal_cut(p.h, p.T), n_panels)
+    th = fermi_weight(nu, p) * w
+    out = (np.cos((xi - eta)[..., None] * nu) + kind.eps * np.cos((xi + eta)[..., None] * nu)) @ th
+    return out if np.ndim(out) else float(out)
+
+
+@st.composite
+def _theta_cases(draw):
+    T = draw(st.one_of(st.just(0.0), st.floats(0.02, 2.0)))
+    p = ThermalParams(h=draw(st.floats(0.1, 3.0)), T=T)
+    xi = draw(st.lists(_COORD, min_size=1, max_size=5))
+    eta = []
+    for _ in range(draw(st.integers(1, 5))):
+        # xi = eta and xi + eta = 0 on purpose
+        how = draw(st.sampled_from(("free", "equal", "reflected")))
+        base = draw(st.sampled_from(xi))
+        eta.append({"free": draw(_COORD), "equal": base, "reflected": -base}[how])
+    shape = draw(st.sampled_from(("scalar", "mesh", "column")))
+    if shape == "scalar":
+        return p, draw(st.sampled_from(xi)), draw(st.sampled_from(eta))
+    if shape == "column":
+        # the off-grid column of fredholm_minor_first: (n, 1) x (1, 1)
+        return p, np.array(xi)[:, None], np.array(eta[:1])[None, :]
+    return p, np.array(xi)[:, None], np.array(eta)[None, :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_theta_cases(), st.sampled_from((NEUMANN, DIRICHLET)))
+def test_kernel_theta_separable_equals_mesh_oracle(case, kind):
+    p, xi, eta = case
+    out = kernel_theta(xi, eta, kind, p)
+    ref = kernel_theta_mesh(xi, eta, kind, p)
+    assert np.shape(out) == np.shape(ref)
+    if not np.ndim(ref):
+        assert type(out) is float
+    assert np.max(np.abs(out - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_kernel_theta_quadrature_convergence():

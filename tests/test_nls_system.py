@@ -8,6 +8,7 @@ from bosefredholm.correlators import (
     correlation_boundary_neumann,
     correlation_ground,
 )
+from bosefredholm.errors import DegenerateDelta
 from bosefredholm.fredholm import build_grid
 from bosefredholm.kernels import (
     GeometryParams,
@@ -168,13 +169,36 @@ def test_Q_structure():
 
 
 def test_Q_degenerate_flagging():
-    from bosefredholm.errors import DegenerateDelta
     cfg = FourPointConfig(y=(0.3, 0.3, -0.5, 0.9), t=(0.2, 0.2, 0.0, 0.4))
     with pytest.raises(DegenerateDelta):
         build_Q(cfg, policy=POL3, strict=True)
     Q, degenerate = build_Q(cfg, policy=POL3, strict=False)
     assert degenerate == [(0, 1)]
     assert Q[0, 1] == 0.0
+
+
+def test_coincident_pair_makes_no_raising_gaussian_fresnel_call(monkeypatch):
+    # the coincident first pair of the x1 = 0 configuration is flagged from
+    # AuxField.coincident; gaussian_fresnel(0, 0) is never asked for
+    import bosefredholm.nls_system as nls
+    raised = []
+
+    def counting(x, t):
+        try:
+            return gaussian_fresnel(x, t)
+        except DegenerateDelta:
+            raised.append((x, t))
+            raise
+
+    monkeypatch.setattr(nls, "gaussian_fresnel", counting)
+    pt = PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
+    mats = build_b(FourPointConfig.correlation(0.0, 0.9, 0.4), pt, n=16)
+    assert raised == []
+    assert mats.degenerate_entries == [(0, 1)]
+    assert mats.Q[0, 1] == 0.0
+    with pytest.raises(DegenerateDelta):
+        build_Q(FourPointConfig.correlation(0.0, 0.9, 0.4), strict=True)
+    assert raised == []
 
 
 def test_Q14_closed_form_at_correlation_cfg():
