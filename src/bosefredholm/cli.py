@@ -1,9 +1,9 @@
 """Command-line interface: correlator scans, static/boundary evaluators,
 validation suites, and machine-readable CSV/JSON output.
 
-Exit codes: 0 success, 1 configuration or computation error, 2 convergence
-failure (partial results still written, flagged), 3 output could not be
-written.
+Exit codes: 0 success, 1 configuration error or a computation error
+outside a scan point, 2 flagged scan points or a convergence failure
+(partial results still written, flagged), 3 output could not be written.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -137,30 +138,56 @@ def emit(records, fmt, path, digits=15):
     _write_output(text, path)
 
 
+def _error_flag(exc):
+    """Record flag of a per-point error: its kind, e.g. 'degenerate-delta'."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
+
+
+def _point_record(point, n, flag, compute):
+    """(record, error) of one scan point.
+
+    compute() returns (value, det, deriv, err, n, truncation).  A package
+    error of the point becomes a record of NaNs flagged with its kind, and
+    is returned beside it; the scan goes on.
+    """
+    start = time.perf_counter()
+    try:
+        value, det, deriv, err, n, trunc = compute()
+        exc = None
+    except OutputError:
+        raise
+    except BoseFredholmError as caught:
+        value = det = deriv = err = float("nan")
+        trunc, flag, exc = 0.0, _error_flag(caught), caught
+    ms = 1000.0 * (time.perf_counter() - start)
+    return _record(point, value, det, deriv, err, n, trunc, (), flag, ms), exc
+
+
+def _finish_scan(results, args):
+    """Emit the records of a scan; exit code 2 when a point was flagged."""
+    for rec, exc in results:
+        if exc is not None:
+            print(f"flagged {rec['flag']} at x1={rec['x1']:g} x2={rec['x2']:g} t={rec['t']:g} "
+                  f"T={rec['T']:g} h={rec['h']:g}: {exc}", file=sys.stderr)
+    emit([rec for rec, _ in results], args.format, args.output, args.digits)
+    return 2 if any(exc is not None for _, exc in results) else 0
+
+
 def _one_correlate(task):
     (x1, x2, t, T, h, D, eps), n, tol = task
     kind = _eps_kind(eps)
-    start = time.perf_counter()
-    flag = ""
-    if kind is DIRICHLET and x1 == 0.0:
-        flag = "dirichlet-null"
-    thermal = ThermalParams(h=h, T=T)
-    pt = PhysicalPoint(x1, x2, t, kind, thermal, D=D)
-    try:
+    flag = "dirichlet-null" if kind is DIRICHLET and x1 == 0.0 else ""
+    pt = PhysicalPoint(x1, x2, t, kind, ThermalParams(h=h, T=T), D=D)
+
+    def compute():
         if T > 0:
             res = correlation_thermal(pt, n=n, tol=tol)
         else:
             res = correlation_ground(pt, n=n)
-        ms = 1000.0 * (time.perf_counter() - start)
-        return _record((x1, x2, t, T, h, D, eps), res.value, res.det_part,
-                       res.derivative_part, res.error_estimate, res.grid_size,
-                       res.truncation, (), flag, ms), None
-    except ConvergenceFailure as exc:
-        ms = 1000.0 * (time.perf_counter() - start)
-        rec = _record((x1, x2, t, T, h, D, eps), float("nan"), float("nan"),
-                      float("nan"), float("nan"), n, 0.0, (),
-                      "convergence-failure", ms)
-        return rec, exc
+        return (res.value, res.det_part, res.derivative_part, res.error_estimate,
+                res.grid_size, res.truncation)
+
+    return _point_record((x1, x2, t, T, h, D, eps), n, flag, compute)
 
 
 def _scan_points(args):
@@ -192,60 +219,60 @@ def cmd_correlate(args):
     else:
         for i, task in enumerate(tasks):
             results[i] = _one_correlate(task)
-    records = [r for r, _ in results]
-    failures = [e for _, e in results if e is not None]
-    emit(records, args.format, args.output, args.digits)
-    return 2 if failures else 0
+    return _finish_scan(results, args)
+
+
+def _value_only(value, n):
+    """compute() parts of a command that reports a value and nothing else."""
+    return value, float("nan"), float("nan"), float("nan"), n, 0.0
 
 
 def cmd_static(args):
-    records = []
+    results = []
     kind = _eps_kind(args.eps)
     thermal = ThermalParams(h=args.h, T=args.T)
     for x1 in parse_range(args.x1):
         for x2 in parse_range(args.x2):
-            start = time.perf_counter()
-            v = correlation_static(x1, x2, kind, thermal, n=args.n)
-            ms = 1000.0 * (time.perf_counter() - start)
             flag = "dirichlet-null" if (kind is DIRICHLET and x1 == 0.0) else ""
-            records.append(_record((x1, x2, 0.0, args.T, args.h, 0.0, args.eps),
-                                   v, float("nan"), float("nan"), float("nan"),
-                                   args.n, 0.0, (), flag, ms))
-    emit(records, args.format, args.output, args.digits)
-    return 0
+            results.append(_point_record(
+                (x1, x2, 0.0, args.T, args.h, 0.0, args.eps), args.n, flag,
+                lambda: _value_only(correlation_static(x1, x2, kind, thermal, n=args.n), args.n)))
+    return _finish_scan(results, args)
 
 
 def cmd_boundary(args):
-    records = []
+    results = []
     thermal = ThermalParams(h=args.h, T=args.T)
     for x in parse_range(args.x):
         w_det = None
         for t in parse_range(args.t):
-            start = time.perf_counter()
             pt = PhysicalPoint(0.0, x, t, NEUMANN, thermal, D=args.D)
-            if w_det is None:
-                w_det = boundary_w_det(x, t, pt, n=args.n)
-            v = correlation_boundary_neumann(x, t, pt, n=args.n,
-                                             n_spectral=args.n_spectral, w_det=w_det)
-            ms = 1000.0 * (time.perf_counter() - start)
-            records.append(_record((0.0, x, t, args.T, args.h, args.D, "+"),
-                                   v, float("nan"), float("nan"), float("nan"),
-                                   args.n, 0.0, (), "", ms))
-    emit(records, args.format, args.output, args.digits)
-    return 0
+
+            def compute():
+                nonlocal w_det
+                if w_det is None:
+                    w_det = boundary_w_det(x, t, pt, n=args.n)
+                return _value_only(correlation_boundary_neumann(
+                    x, t, pt, n=args.n, n_spectral=args.n_spectral, w_det=w_det), args.n)
+
+            results.append(_point_record((0.0, x, t, args.T, args.h, args.D, "+"), args.n, "",
+                                         compute))
+    return _finish_scan(results, args)
 
 
 def cmd_density(args):
-    records = []
+    results = []
     for T in parse_range(args.T):
         for h in parse_range(args.h):
-            start = time.perf_counter()
-            d = density_of_temperature(ThermalParams(h=h, T=T), n=args.n)
-            ms = 1000.0 * (time.perf_counter() - start)
-            records.append(_record((0.0, 0.0, 0.0, T, h, d, "+"), d, float("nan"),
-                                   float("nan"), float("nan"), args.n, 0.0, (), "", ms))
-    emit(records, args.format, args.output, args.digits)
-    return 0
+            def compute():
+                d = density_of_temperature(ThermalParams(h=h, T=T), n=args.n)
+                return _value_only(d, args.n)
+
+            rec, exc = _point_record((0.0, 0.0, 0.0, T, h, float("nan"), "+"), args.n, "",
+                                     compute)
+            rec["D"] = rec["value_re"]      # the density is the record's D, too
+            results.append((rec, exc))
+    return _finish_scan(results, args)
 
 
 def cmd_kernel_dump(args):
@@ -280,14 +307,17 @@ def cmd_oracle(args):
 
 
 def cmd_lax_check(args):
-    from .nls_system import FourPointConfig, build_b, lax_compatibility_residual
+    from .nls_system import (FourPointConfig, build_b, build_line_grid,
+                             lax_compatibility_residual)
 
     thermal = ThermalParams(h=args.h, T=args.T)
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, thermal, D=args.D if args.T == 0 else 0.0)
     cfg = FourPointConfig(y=tuple(args.y), t=tuple(args.tt))
     policy = build_policy(args)
-    res_big = lax_compatibility_residual(cfg, pt, step=args.step, n=args.n, policy=policy)
-    res_small = lax_compatibility_residual(cfg, pt, step=args.step / 2.0, n=args.n, policy=policy)
+    stencil = build_line_grid(cfg, policy)
+    res_big = lax_compatibility_residual(cfg, pt, step=args.step, n=args.n, line_grid=stencil)
+    res_small = lax_compatibility_residual(cfg, pt, step=args.step / 2.0, n=args.n,
+                                           line_grid=stencil)
     mats = build_b(cfg, pt, n=args.n, policy=policy)
     payload = {
         "config": {"y": list(args.y), "t": list(args.tt), "T": args.T, "h": args.h, "D": args.D},
@@ -298,6 +328,13 @@ def cmd_lax_check(args):
         "residual_matrix_step": res_big.tolist(),
         "b_re": np.real(mats.b).tolist(),
         "b_im": np.imag(mats.b).tolist(),
+        # the line grids the numbers above came from: the one shared by every
+        # stencil build_b, and the one of the final b under adapt_policy
+        # (0 nodes and no deltas when b is taken in closed form)
+        "line_grids": {
+            "stencil": {"nodes": len(stencil.nodes), "deltas": list(stencil.deltas)},
+            "final": {"nodes": mats.line_nodes, "deltas": list(mats.deltas)},
+        },
     }
     _write_output(json.dumps(payload, indent=1) + "\n", args.output)
     return 0

@@ -3,6 +3,7 @@ and the Lax compatibility check of the associated differential system."""
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,27 @@ class FourPointConfig:
         return sum(abs(v) for v in self.t)
 
 
+class ReciprocalMesh:
+    """1/(lam - s) on the broadcast (lam, s) mesh, for difference quotients.
+
+    Entries with |lam - s| < NEAR_DIAGONAL hold 0 in `inv`; `near` marks
+    them and `mid` holds their midpoints (None when there are none), where a
+    difference quotient takes the derivative instead.
+    """
+
+    NEAR_DIAGONAL = 1e-7
+
+    def __init__(self, lam, s):
+        den = np.asarray(np.subtract(lam, s), dtype=float)
+        self.near = np.abs(den) < self.NEAR_DIAGONAL
+        self.inv = np.asarray(1.0 / np.where(self.near, 1.0, den))
+        self.mid = None
+        if np.any(self.near):
+            self.inv[self.near] = 0.0
+            self.mid = np.broadcast_to(0.5 * (np.asarray(lam) + np.asarray(s)),
+                                       den.shape)[self.near]
+
+
 class AuxField:
     """Auxiliary data of one field pair (odd slot a, even slot b).
 
@@ -93,26 +115,24 @@ class AuxField:
             return np.zeros(np.shape(lam), dtype=complex)
         return pv_fresnel_hilbert_dlam(lam, self.dy, self.dt) / (2.0 * math.pi)
 
-    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None):
+    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None, mesh=None):
         """(G(lam) - G(s))/(lam - s), diagonal-safe.
 
         g_lam, g_s are G already sampled at lam and s; each one not given
-        is evaluated here, once per axis (cheap outer difference).  Only
-        near-diagonal entries fall back to G'.
+        is evaluated here, once per axis (cheap outer difference).  mesh is
+        the ReciprocalMesh of (lam, s) when already built; its near-diagonal
+        entries take G' at their midpoints.
         """
         lam = np.asarray(lam, dtype=float)
         s = np.asarray(s, dtype=float)
+        mesh = ReciprocalMesh(lam, s) if mesh is None else mesh
         g_lam = self.hilbert(lam) if g_lam is None else g_lam
         g_s = self.hilbert(s) if g_s is None else g_s
-        den = np.asarray(lam - s)
-        num = np.asarray(g_lam - g_s)
-        small = np.abs(den) < 1e-7
-        out = np.asarray(num / np.where(small, 1.0, den), dtype=complex)
-        if np.any(small):
-            mid = np.broadcast_to(0.5 * (lam + s), out.shape)[small]
+        out = np.asarray((g_lam - g_s) * mesh.inv, dtype=complex)
+        if mesh.mid is not None:
             if out.ndim == 0:
-                return complex(np.asarray(self.hilbert_deriv(mid)).ravel()[0])
-            out[small] = np.asarray(self.hilbert_deriv(mid))
+                return complex(np.asarray(self.hilbert_deriv(mesh.mid)).ravel()[0])
+            out[mesh.near] = self.hilbert_deriv(mesh.mid)
         return out
 
     def e_left(self, lam, g=None):
@@ -174,30 +194,111 @@ def adapt_policy(cfg, policy):
                                 extrapolation_orders=policy.extrapolation_orders)
 
 
-def _line_grid(cfg, policy):
-    """Line grid (nodes, damped-weight matrix) of the whole-line integrals:
-    graded for the phases of cfg, truncated and damped by the policy."""
-    nodes, weights = graded_line_grid(policy.tail_cut, cfg.phase_scale)
-    return nodes, damped_weights(nodes, weights, policy.deltas)
+# panel rule of the damped line grids: no panel is wider than
+# LINE_BASE_WIDTH or sees more than LINE_PHASE_PER_PANEL radians of the
+# fastest whole-line phase (the node-doubling test of tests/ halves both)
+LINE_BASE_WIDTH = 0.5
+LINE_PHASE_PER_PANEL = 16.0
+
+
+class LineGrid(NamedTuple):
+    """Nodes, damped-weight matrix and damping deltas of a line grid."""
+
+    nodes: np.ndarray
+    damped: np.ndarray
+    deltas: tuple
+
+
+def line_chirps(cfg):
+    """(dt, dy) of the phases dt*s^2 - dy*s of the whole-line integrands.
+
+    Every integrand is col_1(s) row_2(s), times 1 or G_1, times 1 or G_2.
+    Far out G_p is a chirp of its pair plus a non-oscillating O(1/s) part,
+    so the phases are (t_j - t_i) s^2 - (y_j - y_i) s, i in {1, 2}, j in
+    {3, 4}.
+    """
+    y, t = cfg.y, cfg.t
+    return tuple((t[j] - t[i], y[j] - y[i]) for i in (0, 1) for j in (2, 3))
+
+
+def build_line_grid(cfg, policy):
+    """Line grid of the whole-line integrals of cfg: panels sized by the
+    integrands' phases (line_chirps), truncated and damped by the policy."""
+    nodes, weights = graded_line_grid(policy.tail_cut, base_width=LINE_BASE_WIDTH,
+                                      phase_per_panel=LINE_PHASE_PER_PANEL,
+                                      chirps=line_chirps(cfg))
+    return LineGrid(nodes, damped_weights(nodes, weights, policy.deltas), policy.deltas)
+
+
+def _damped_integrals(a1, a2, lam, line):
+    """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
+    cross integral of the M-hat diagonal (n) on the damped line grid.
+
+    One reciprocal mesh 1/(lam - s) per block of lam serves both difference
+    quotients; the s-dependent phases and vector components sit in the
+    weight columns of the line samples, and the lam-dependent phases
+    multiply the n results.  A coincident pair's K_p vanishes and is
+    skipped.
+    """
+    g1S, g2S = line.g
+    n = len(lam)
+    sums_L = np.zeros((2, n), dtype=complex)
+    sums_R = np.zeros((2, n), dtype=complex)
+    sums_X = np.zeros(n, dtype=complex)
+    g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
+    chunk = _block_size(len(line.nodes))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        block, S = lam[lo:hi, None], line.nodes[None, :]
+        mesh = ReciprocalMesh(block, S)
+        dq1 = dq2 = None
+        if not a1.coincident:
+            dq1 = a1.hilbert_diffquot(block, S, g1lam[lo:hi, None], g1S[None, :], mesh)
+            sums_L[:, lo:hi] = damped_limit(dq1, line.weights_L)
+        if not a2.coincident:
+            dq2 = a2.hilbert_diffquot(block, S, g2lam[lo:hi, None], g2S[None, :], mesh)
+            sums_R[:, lo:hi] = damped_limit(dq2, line.weights_R)
+        if dq1 is not None and dq2 is not None:
+            dq1 *= dq2
+            sums_X[lo:hi] = damped_limit(dq1, line.weights_X)
+        del mesh, dq1, dq2   # one set of (block, ns) arrays alive at a time: peak memory
+    row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
+    return (row1 * sums_L).T, col2 * sums_R, row1 * col2 * sums_X
 
 
 class _LineSamples:
-    """A line grid with G_1 and G_2 of one configuration sampled on its
-    nodes, once for all the whole-line integrals of build_b."""
+    """A line grid with what the whole-line integrals of one configuration
+    sample on its nodes, once for all of build_b: G_1 and G_2, the phase
+    col_1 row_2, the weight columns, and the integrals on one lam grid."""
 
-    def __init__(self, cfg, nodes, damped):
-        self.nodes, self.damped = nodes, damped
-        self.g = tuple(aux.hilbert(nodes) for aux in build_aux_fields(cfg))
+    def __init__(self, cfg, nodes, damped, deltas=None):
+        self.nodes, self.deltas = nodes, deltas
+        a1, a2 = self.aux = build_aux_fields(cfg)
+        self.g = g1, g2 = a1.hilbert(nodes), a2.hilbert(nodes)
+        m = a1.col_phase(nodes) * a2.row_phase(nodes)
+        # weight columns v(s) * damped: damped_limit(dq, v[:, None] * damped)
+        # is the damped integral of dq * v
+        self.weights_X = m[:, None] * damped
+        self.weights_L = np.stack([-self.weights_X, g2[:, None] * self.weights_X])
+        self.weights_R = (2.0 / math.pi) * np.stack([g1[:, None] * self.weights_X,
+                                                     self.weights_X])
+        self._integrals = None
+
+    def integrals(self, lam):
+        """_damped_integrals on lam, computed once per lam grid."""
+        if self._integrals is None or not np.array_equal(self._integrals[0], lam):
+            self._integrals = (np.array(lam), *_damped_integrals(*self.aux, lam, self))
+        return self._integrals[1:]
 
 
 def _line_samples(cfg, policy, line_grid):
-    """Samples of cfg on the given line grid (nodes, damped-weight matrix),
-    or on the grid of cfg under its adapted policy; samples that build_b
-    passes on are used as they are."""
+    """Samples of cfg on the given line grid ((nodes, damped-weight matrix),
+    or a LineGrid), or on the grid of cfg under its adapted policy; samples
+    that build_b passes on are used as they are."""
     if isinstance(line_grid, _LineSamples):
         return line_grid
     if line_grid is None:
-        line_grid = _line_grid(cfg, adapt_policy(cfg, policy))
+        line_grid = build_line_grid(cfg, adapt_policy(cfg, policy))
     return _LineSamples(cfg, *line_grid)
 
 
@@ -246,41 +347,6 @@ def _closed_form_right_action(a1, a2, mu):
     return np.stack([g1 * spectral, spectral], axis=0)
 
 
-def _damped_actions(a1, a2, lam, line):
-    """(K1-hat e_2^L)(lam) (n x 2) and (e_1^R K2-hat)(lam) (2 x n) on the
-    damped line grid; a coincident pair's K_p vanishes and is skipped."""
-    S, D = line.nodes, line.damped
-    g1S, g2S = line.g
-    n = len(lam)
-    compL = np.zeros((n, 2), dtype=complex)
-    compR = np.zeros((2, n), dtype=complex)
-    e2Ls = a2.e_left(S, g2S)                  # (ns, 2)
-    e1Rs = a1.e_right(S, g1S)                 # (2, ns)
-    colS1 = a1.col_phase(S)
-    rowS2 = a2.row_phase(S)
-    g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
-    chunk = _block_size(len(S))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = lam[lo:hi]
-        if not a1.coincident:
-            K1 = a1.row_phase(block)[:, None] * colS1[None, :] \
-                * a1.hilbert_diffquot(block[:, None], S[None, :],
-                                      g1lam[lo:hi, None], g1S[None, :])
-            for c in range(2):
-                compL[lo:hi, c] = damped_limit(K1 * e2Ls[:, c][None, :], D)
-            del K1   # one (block, ns) kernel block alive at a time: peak memory
-        if not a2.coincident:
-            # right action: integrate over the row variable of K2
-            K2 = rowS2[:, None] * a2.col_phase(block)[None, :] \
-                * a2.hilbert_diffquot(S[:, None], block[None, :],
-                                      g2S[:, None], g2lam[None, lo:hi])
-            for c in range(2):
-                compR[c, lo:hi] = damped_limit((e1Rs[c][:, None] * K2).T, D)
-            del K2
-    return compL, compR
-
-
 def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
     """E^L (n x 4) and E^R (4 x n) sampled on lam_grid.
 
@@ -302,7 +368,7 @@ def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
         compL = np.zeros((n, 2), dtype=complex)       # K_1 = 0
         compR = _closed_form_right_action(a1, a2, lam)
     else:
-        compL, compR = _damped_actions(a1, a2, lam, _line_samples(cfg, policy, line_grid))
+        compL, compR, _ = _line_samples(cfg, policy, line_grid).integrals(lam)
     EL[:, 2:] = a2.e_left(lam) + (2.0 / math.pi) * compL
     ER[:2, :] = a1.e_right(lam) + (2.0 / math.pi) * compR
     return EL, ER
@@ -338,12 +404,11 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
         Q[:2, 2:] = -(2.0 / math.pi) * np.outer([_plane_wave_amplitude(a1), 1.0],
                                                 [-row, row_g])
         return Q, degenerate
+    # e_1^R e_2^L = (2/pi) col_1 row_2 [G_1, 1] (x) [-1, G_2]; weights_L holds
+    # col_1 row_2 [-1, G_2] times the damped weights
     line = _line_samples(cfg, policy, line_grid)
-    e1Rs = a1.e_right(line.nodes, line.g[0])   # (2, ns)
-    e2Ls = a2.e_left(line.nodes, line.g[1])    # (ns, 2)
-    for r in range(2):
-        for c in range(2):
-            Q[r, 2 + c] = -damped_limit(e1Rs[r] * e2Ls[:, c], line.damped)
+    rows = np.stack([line.g[0], np.ones_like(line.nodes)])
+    Q[:2, 2:] = -(2.0 / math.pi) * damped_limit(rows, line.weights_L).T
     return Q, degenerate
 
 
@@ -354,6 +419,10 @@ class NlsMatrices:
     Q: np.ndarray
     B: np.ndarray
     degenerate_entries: list = field(default_factory=list)
+    # the damped line grid: its node count and deltas (None for a bare
+    # (nodes, damped) pair); 0 and () when every integral is a closed form
+    line_nodes: int = 0
+    deltas: tuple = ()
 
     @property
     def b(self):
@@ -399,23 +468,10 @@ def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_g
     off = ~np.eye(n, dtype=bool)
     mat[off] = -(math.pi / 2.0) * num[off] / diff[off]
     # diagonal: -A1 B1 G1' - A2 B2 G2' - (2/pi) * cross integral
-    cross = np.zeros(n, dtype=complex)
-    if not (a1.coincident or a2.coincident):
-        S, D = line_grid.nodes, line_grid.damped
-        g1S, g2S = line_grid.g
-        g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
-        mids = a1.col_phase(S) * a2.row_phase(S)
-        chunk = _block_size(len(S))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            block = lam[lo:hi]
-            integ = (a1.row_phase(block)[:, None] * a2.col_phase(block)[:, None]
-                     * mids[None, :]
-                     * a1.hilbert_diffquot(block[:, None], S[None, :],
-                                           g1lam[lo:hi, None], g1S[None, :])
-                     * a2.hilbert_diffquot(S[None, :], block[:, None],
-                                           g2S[None, :], g2lam[lo:hi, None]))
-            cross[lo:hi] = damped_limit(integ, D)
+    if a1.coincident or a2.coincident:
+        cross = np.zeros(n, dtype=complex)
+    else:
+        cross = line_grid.integrals(lam)[2]
     diag = (-a1.row_phase(lam) * a1.col_phase(lam) * a1.hilbert_deriv(lam)
             - a2.row_phase(lam) * a2.col_phase(lam) * a2.hilbert_deriv(lam)
             - (2.0 / math.pi) * cross)
@@ -431,9 +487,10 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     At a closed-form configuration (first pair coincident, second pair
     equal-time, as correlation(0, x, t)) with no line_grid, every
     whole-line integral is a closed form and no line grid is built.
-    Otherwise the integrals are damped on the given line_grid (nodes,
-    damped-weight matrix), or on the grid built for cfg under
-    adapt_policy(cfg, policy), with G_1 and G_2 sampled on it once.
+    Otherwise the integrals are damped on the given line_grid (a LineGrid,
+    or a (nodes, damped-weight matrix) pair), or on the grid built for cfg
+    under adapt_policy(cfg, policy), with G_1 and G_2 sampled on it once;
+    the result reports that grid's node count and deltas.
     """
     quad, weight_fn = _spectral_grid(ensemble, n)
     if not _closed_form(cfg, line_grid):
@@ -446,7 +503,10 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     FR = np.linalg.solve(amat, ER.T).T          # (4, n)
     B = np.einsum('i,ji,ik->jk', w, FR, EL)
     Q, degenerate = build_Q(cfg, strict=False, line_grid=line_grid)
-    return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate)
+    if line_grid is None:
+        return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate)
+    return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate,
+                       line_nodes=len(line_grid.nodes), deltas=line_grid.deltas)
 
 
 @dataclass
@@ -479,7 +539,7 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None,
     """
     policy = policy or FINE_POLICY
     if line_grid is None:
-        line_grid = _line_grid(cfg, policy)
+        line_grid = build_line_grid(cfg, policy)
 
     def bb(dy=None, dt=None):
         c = cfg.shifted(dy=dy, dt=dt)

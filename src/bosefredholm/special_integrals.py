@@ -170,20 +170,26 @@ def gauss_panels(a, b, n_panels, order=16):
     return nodes, weights
 
 
-def graded_line_grid(tail_cut, phase_scale, base_width=0.25, phase_per_panel=4.0, order=16):
-    """Symmetric grid on [-tail_cut, tail_cut] graded for phases ~ phase_scale*s^2.
+def graded_line_grid(tail_cut, phase_scale=0.0, base_width=0.25, phase_per_panel=4.0, order=16,
+                     chirps=None):
+    """Symmetric grid on [-tail_cut, tail_cut] whose panels each see at most
+    phase_per_panel radians of the integrand's phase, and are never wider
+    than base_width.
 
-    Panel widths shrink like phase_per_panel/(2*phase_scale*s) so that each
-    16-point panel sees a bounded number of oscillations.
+    The phase rate |d(phase)/ds| at +-s is bounded by 2*phase_scale*max(s, 1)
+    for phases ~ phase_scale*s^2.  `chirps`, a sequence of (dt, dy), gives
+    the phases dt*s^2 - dy*s instead, with the rate max of 2|dt| s + |dy|.
     """
+    if chirps is None:
+        lines = ((2.0 * phase_scale, 0.0), (0.0, 2.0 * phase_scale))
+    else:
+        lines = tuple((2.0 * abs(dt), abs(dy)) for dt, dy in chirps)
     x, w = gauss_legendre(order)
     edges = [0.0]
     while edges[-1] < tail_cut:
         s = edges[-1]
-        if phase_scale > 0:
-            width = min(base_width, phase_per_panel / (2.0 * phase_scale * max(s, 1.0)))
-        else:
-            width = base_width
+        rate = max(a * s + b for a, b in lines)
+        width = min(base_width, phase_per_panel / rate) if rate > 0 else base_width
         edges.append(min(s + width, tail_cut))
     e = np.asarray(edges)
     e = np.concatenate([-e[::-1], e[1:]])

@@ -274,3 +274,67 @@ def test_bf_threads_scan(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0
     assert len(out.read_text().strip().split("\n")) == 4
+
+
+def test_correlate_scan_flags_a_degenerate_point(tmp_path):
+    # x1 = x2 at t = 0 makes the Gaussian a delta distribution: that point is
+    # a flagged record, the other point is computed, and the exit code is 2
+    out = tmp_path / "scan.json"
+    code = main(["correlate", "--eps", "+", "--x1", "0.3:0.5:2", "--x2", "0.5",
+                 "--t", "0", "--D", "1", "--format", "json", "--output", str(out)])
+    assert code == 2
+    good, bad = json.loads(out.read_text())
+    assert (good["x1"], good["flag"]) == (0.3, "")
+    assert math.isfinite(good["value_re"])
+    assert (bad["x1"], bad["flag"]) == (0.5, "degenerate-delta")
+    assert bad["value_re"] is None
+
+
+@pytest.mark.parametrize("command,target,argv", [
+    ("static", "correlation_static",
+     ["--eps", "+", "--x1", "0.4:0.6:2", "--x2", "0.9", "--T", "0.5", "--n", "16"]),
+    ("boundary", "correlation_boundary_neumann",
+     ["--x", "0.4:0.6:2", "--t", "0.3", "--D", "1", "--n", "16", "--n-spectral", "8"]),
+    ("density", "density_of_temperature", ["--T", "0.4:0.6:2", "--h", "1", "--n", "40"]),
+])
+def test_scans_flag_a_failing_point(tmp_path, monkeypatch, command, target, argv):
+    import bosefredholm.cli as cli
+    from bosefredholm.errors import NumericalFailure
+    original = getattr(cli, target)
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericalFailure("non-finite entries")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, second_fails)
+    out = tmp_path / "scan.json"
+    code = main([command, *argv, "--format", "json", "--output", str(out)])
+    assert code == 2
+    first, second = json.loads(out.read_text())
+    assert first["flag"] == "" and math.isfinite(first["value_re"])
+    assert second["flag"] == "numerical-failure" and second["value_re"] is None
+
+
+def test_lax_check_reports_its_line_grids(tmp_path):
+    # the stencil shares one grid under the policy as given; the final b
+    # runs on the grid of the adapted policy, whose deltas are reported
+    from bosefredholm.nls_system import FourPointConfig, adapt_policy, build_line_grid
+    from bosefredholm.special_integrals import RegularizationPolicy
+    y, tt = (0.15, 0.45, -0.35, 0.8), (0.1, 0.32, -0.2, 0.55)
+    out = tmp_path / "lax.json"
+    code = main(["lax-check", "--y", *map(str, y), "--tt", *map(str, tt), "--n", "8",
+                 "--damping", "0.5", "--orders", "3", "--output", str(out)])
+    assert code == 0
+    grids = json.loads(out.read_text())["line_grids"]
+    cfg = FourPointConfig(y=y, t=tt)
+    policy = RegularizationPolicy(damping=0.5)
+    adapted = adapt_policy(cfg, policy)
+    assert adapted.deltas[-1] < policy.deltas[-1]
+    assert grids["stencil"] == {"nodes": len(build_line_grid(cfg, policy).nodes),
+                                "deltas": list(policy.deltas)}
+    assert grids["final"] == {"nodes": len(build_line_grid(cfg, adapted).nodes),
+                              "deltas": list(adapted.deltas)}
+    assert grids["final"]["nodes"] > grids["stencil"]["nodes"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosefredholm.correlators import (
     PhysicalPoint,
@@ -18,22 +20,29 @@ from bosefredholm.kernels import (
     kernel_P,
 )
 from bosefredholm.nls_system import (
+    LINE_BASE_WIDTH,
+    LINE_PHASE_PER_PANEL,
     AuxField,
     FourPointConfig,
     P_MATRICES,
-    _line_grid,
+    _LineSamples,
     adapt_policy,
     build_aux_fields,
     build_b,
     build_E_vectors,
     build_K_p,
+    build_line_grid,
     build_M_operator,
     build_Q,
+    line_chirps,
 )
 from bosefredholm.special_integrals import (
     FINE_POLICY,
     RegularizationPolicy,
+    damped_limit,
+    damped_weights,
     gaussian_fresnel,
+    graded_line_grid,
     pv_fresnel_hilbert,
 )
 
@@ -276,7 +285,7 @@ def test_closed_form_b_matches_damped_oracle(x, t, T, cs):
                        D=1.0 if T == 0.0 else 0.0)
     closed = build_b(cfg, pt, n=32)
     damped = build_b(cfg, pt, n=32,
-                     line_grid=_line_grid(cfg, adapt_policy(cfg, FINE_POLICY)))
+                     line_grid=build_line_grid(cfg, adapt_policy(cfg, FINE_POLICY)))
     dev = np.max(np.abs(closed.b - damped.b)) / np.max(np.abs(damped.b))
     assert dev <= 1e-7
     assert closed.degenerate_entries == damped.degenerate_entries
@@ -312,7 +321,7 @@ def test_damped_b_samples_each_hilbert_once_per_line_grid(monkeypatch):
     import bosefredholm.nls_system as nls
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=0.7)
-    line_grid = _line_grid(cfg, RegularizationPolicy(damping=2e-2))
+    line_grid = build_line_grid(cfg, RegularizationPolicy(damping=2e-2))
     ns = len(line_grid[0])
     sizes = []
 
@@ -323,3 +332,117 @@ def test_damped_b_samples_each_hilbert_once_per_line_grid(monkeypatch):
     monkeypatch.setattr(nls, "pv_fresnel_hilbert", counting)
     build_b(cfg, pt, n=12, line_grid=line_grid)
     assert sum(size for size in sizes if size >= ns) == 2 * ns
+
+
+# -- the damped line grid sized by its phases, and the reciprocal mesh --------
+
+LAX_POLICY = RegularizationPolicy(damping=2e-2)
+_FINITE = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _general_configs(draw, coincident=False):
+    """General four-point configurations: |y| <= 2, every t_j - t_i of
+    either sign; with `coincident`, the first pair may coincide."""
+    y = [draw(st.floats(-2.0, 2.0, **_FINITE)) for _ in range(4)]
+    t = [draw(st.floats(-0.6, 0.6, **_FINITE)) for _ in range(4)]
+    if coincident and draw(st.booleans()):
+        y[1], t[1] = y[0], t[0]
+    return FourPointConfig(y=tuple(y), t=tuple(t))
+
+
+def _point(T):
+    return PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=T),
+                         D=0.7 if T == 0.0 else 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_general_configs(), st.sampled_from((0.0, 0.4)))
+def test_line_grid_node_doubling(cfg, T):
+    # halving the base width and the phase per panel leaves b unchanged
+    grid = build_line_grid(cfg, LAX_POLICY)
+    nodes, weights = graded_line_grid(LAX_POLICY.tail_cut, cfg.phase_scale,
+                                      base_width=LINE_BASE_WIDTH / 2.0,
+                                      phase_per_panel=LINE_PHASE_PER_PANEL / 2.0,
+                                      chirps=line_chirps(cfg))
+    assert len(nodes) > len(grid.nodes)
+    fine = (nodes, damped_weights(nodes, weights, LAX_POLICY.deltas))
+    b = build_b(cfg, _point(T), n=12, line_grid=grid).b
+    b_fine = build_b(cfg, _point(T), n=12, line_grid=fine).b
+    assert np.max(np.abs(b - b_fine)) <= 1e-10 * np.max(np.abs(b_fine))
+
+
+def test_criterion_8_line_grid_size():
+    # the first criterion-8 configuration: 75,296 nodes when every panel
+    # took 4 radians of a chirp with rate sum |t_j|
+    cfg = FourPointConfig(y=(0.15, 0.45, -0.35, 0.8), t=(0.1, 0.32, -0.2, 0.55))
+    assert len(build_line_grid(cfg, LAX_POLICY).nodes) <= 15_000
+
+
+def _diffquot_oracle(aux, lam, s, g_lam, g_s):
+    """(G(lam) - G(s))/(lam - s) as one division per entry; G' at the
+    midpoint where |lam - s| < 1e-7."""
+    den = lam - s
+    small = np.abs(den) < 1e-7
+    out = np.asarray((g_lam - g_s) / np.where(small, 1.0, den), dtype=complex)
+    out[small] = aux.hilbert_deriv(np.broadcast_to(0.5 * (lam + s), out.shape)[small])
+    return out
+
+
+def _damped_integrals_oracle(cfg, lam, nodes, damped):
+    """(K1-hat e_2^L)(lam), (e_1^R K2-hat)(lam) and the M-hat diagonal cross
+    integral with every phase and vector component multiplied on the
+    (lam, s) mesh before the damped contraction."""
+    a1, a2 = build_aux_fields(cfg)
+    S, D = nodes, damped
+    g1S, g2S = a1.hilbert(S), a2.hilbert(S)
+    g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
+    e2Ls = a2.e_left(S, g2S)
+    e1Rs = a1.e_right(S, g1S)
+    dq1 = _diffquot_oracle(a1, lam[:, None], S[None, :], g1lam[:, None], g1S[None, :])
+    K1 = a1.row_phase(lam)[:, None] * a1.col_phase(S)[None, :] * dq1
+    compL = np.stack([damped_limit(K1 * e2Ls[:, c][None, :], D) for c in range(2)], axis=1)
+    dq2 = _diffquot_oracle(a2, S[:, None], lam[None, :], g2S[:, None], g2lam[None, :])
+    K2 = a2.row_phase(S)[:, None] * a2.col_phase(lam)[None, :] * dq2
+    compR = np.stack([damped_limit((e1Rs[c][:, None] * K2).T, D) for c in range(2)])
+    integ = (a1.row_phase(lam)[:, None] * a2.col_phase(lam)[:, None]
+             * (a1.col_phase(S) * a2.row_phase(S))[None, :] * dq1 * dq2.T)
+    return compL, compR, damped_limit(integ, D)
+
+
+@st.composite
+def _lam_near_nodes(draw, nodes):
+    """Spectral points, some on line nodes or within 1e-7 of one, some just
+    outside that band."""
+    lam = [draw(st.floats(-3.0, 3.0, **_FINITE)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(1, 5))):
+        s = float(nodes[draw(st.integers(0, len(nodes) - 1))])
+        offset = draw(st.sampled_from((0.0, 0.5e-7, -0.9e-7, 1.1e-7, -2e-7)))
+        lam.append(s + offset)
+    return np.array(lam)
+
+
+_ORACLE_POLICY = RegularizationPolicy(damping=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _general_configs(coincident=True))
+def test_damped_integrals_equal_mesh_oracle(data, cfg):
+    grid = build_line_grid(cfg, _ORACLE_POLICY)
+    lam = data.draw(_lam_near_nodes(grid.nodes))
+    got = _LineSamples(cfg, *grid).integrals(lam)
+    ref = _damped_integrals_oracle(cfg, lam, grid.nodes, grid.damped)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
+
+
+def test_b_reports_the_line_grid_it_used():
+    pt = PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
+    closed = build_b(FourPointConfig.correlation(0.0, 0.9, 0.4), pt, n=12)
+    assert (closed.line_nodes, closed.deltas) == (0, ())
+    cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
+    policy = adapt_policy(cfg, LAX_POLICY)
+    damped = build_b(cfg, pt, n=12, policy=LAX_POLICY)
+    assert damped.line_nodes == len(build_line_grid(cfg, policy).nodes)
+    assert damped.deltas == policy.deltas

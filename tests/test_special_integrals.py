@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,13 @@ from bosefredholm.special_integrals import (
     damped_limit,
     damped_line_integral,
     damped_weights,
+    fresnel_kink_integral,
+    fresnel_sine_transform,
     gauss_legendre,
     gaussian_fresnel,
+    graded_line_grid,
     pv_fresnel_hilbert,
+    pv_fresnel_hilbert_dlam,
     pv_quadrature,
     regularized_lattice_sum,
     richardson_sequence,
@@ -238,3 +243,93 @@ def test_policy_validation():
     pol = RegularizationPolicy(damping=4e-3)
     assert pol.deltas == (4e-3, 2e-3, 1e-3)
     assert pol.tail_cut == pytest.approx(math.sqrt(40.0 / 1e-3))
+
+
+def test_graded_line_grid_phase_scale_rule():
+    # the phase_scale rule, written as the loop it always was: damped line
+    # integrals keep the same nodes now that the grid also takes chirps
+    for tail_cut in (10.0, 63.25, 89.44):
+        for phase_scale in (0.0, 0.3, 1.0, 1.17, 2.5):
+            edges = [0.0]
+            while edges[-1] < tail_cut:
+                s = edges[-1]
+                width = (min(0.25, 4.0 / (2.0 * phase_scale * max(s, 1.0)))
+                         if phase_scale > 0 else 0.25)
+                edges.append(min(s + width, tail_cut))
+            e = np.asarray(edges)
+            e = np.concatenate([-e[::-1], e[1:]])
+            x, w = gauss_legendre(16)
+            mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+            nodes, weights = graded_line_grid(tail_cut, phase_scale)
+            assert np.array_equal(nodes, (mid[:, None] + half[:, None] * x[None, :]).ravel())
+            assert np.array_equal(weights, (half[:, None] * w[None, :]).ravel())
+
+
+@pytest.mark.parametrize("chirps", [((0.3, 0.5),), ((-0.45, 0.06), (0.15, -0.21), (0.0, 1.5)),
+                                    ((0.0, 0.0),)])
+def test_graded_line_grid_chirp_rule(chirps):
+    # each panel is as wide as base_width allows, or sees phase_per_panel
+    # radians of the fastest chirp at its inner edge; the outermost panels
+    # end at the tail cut
+    tail_cut, base, per_panel = 40.0, 0.5, 16.0
+    nodes, weights = graded_line_grid(tail_cut, 7.0, base_width=base,
+                                      phase_per_panel=per_panel, chirps=chirps)
+    widths = np.sum(np.reshape(weights, (-1, 16)), axis=1)
+    edges = np.concatenate([[-tail_cut], np.cumsum(widths) - tail_cut])
+    assert abs(edges[-1] - tail_cut) <= 1e-12 * tail_cut
+    inner = np.minimum(np.abs(edges[:-1]), np.abs(edges[1:]))
+    rate = np.max([2.0 * abs(dt) * inner + abs(dy) for dt, dy in chirps], axis=0)
+    expected = np.minimum(base, per_panel / np.maximum(rate, per_panel / base))
+    assert np.allclose(widths[1:-1], expected[1:-1], rtol=1e-9)
+    assert np.all(widths <= expected * (1.0 + 1e-9))
+
+
+def _mp_kappa(t):
+    return mp.expj(mp.pi / 4 * (1 if t > 0 else -1)) / (2 * mp.sqrt(abs(mp.mpf(t))))
+
+
+def _mp_erf_antiderivative(z):
+    return z * mp.erf(z) + mp.exp(-z * z) / mp.sqrt(mp.pi)
+
+
+def _mp_fresnel_forms(a, lam, y, t):
+    """fresnel_sine_transform(a, t), fresnel_kink_integral(a, lam, t) and
+    pv_fresnel_hilbert_dlam(lam, y, t) at 40 digits, from the same closed
+    forms."""
+    with mp.workdps(40):
+        k = _mp_kappa(t)
+        a, lam, y, t = (mp.mpf(v) for v in (a, lam, y, t))
+        sine = 1j * mp.pi * mp.erf(k * a)
+        b = 2 * t * lam
+        F = _mp_erf_antiderivative
+        kink = (mp.expj(t * lam * lam) * mp.pi / (2 * k)
+                * (F(k * (a + b)) - F(k * b) + F(k * (a - b)) - F(-k * b)))
+        u = b - y
+        phi = 1j * mp.pi * mp.erf(k * u)
+        dphi = 1j * mp.pi * k * (2 / mp.sqrt(mp.pi)) * mp.exp(-k * k * u * u)
+        dlam = mp.expj(t * lam * lam - y * lam) * ((2j * t * lam - 1j * y) * phi + 2 * t * dphi)
+        return complex(sine), complex(kink), complex(dlam)
+
+
+def test_fresnel_forms_match_mpmath_as_t_vanishes():
+    # t -> 0 puts kappa * a far out along arg z = +-pi/4, where |exp(-z^2)| = 1
+    # and the erf antiderivatives of the kink integral cancel.  erf has
+    # condition number ~|z| there, so the bound is eps (1 + |z|)(1 + |ref|);
+    # over t = 1 .. 1e-12 the constant reaches 15 for the kink integral, 3.5
+    # for the sine transform and 2.8 for d/dlam of the Hilbert transform.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for decade in range(13):
+        for sign in (1.0, -1.0):
+            t = sign * 10.0 ** -decade * rng.uniform(1.0, 3.0)
+            k = 1.0 / (2.0 * math.sqrt(abs(t)))
+            for _ in range(8):
+                a, lam, y = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0)
+                refs = _mp_fresnel_forms(a, lam, y, t)
+                got = (fresnel_sine_transform(a, t), fresnel_kink_integral(a, lam, t),
+                       pv_fresnel_hilbert_dlam(lam, y, t))
+                zs = (k * abs(a), k * (abs(a) + abs(2.0 * t * lam)), k * abs(2.0 * t * lam - y))
+                for g, r, z in zip(got, refs, zs):
+                    worst = max(worst, abs(g - r) / (eps * (1.0 + z) * (1.0 + abs(r))))
+    assert worst <= 32.0, worst
