@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import InvalidState
-from .kernels import BoundaryKind, _sinc
+from .kernels import BoundaryKind
 from .special_integrals import (
     DEFAULT_POLICY,
     damped_limit,
@@ -73,8 +73,8 @@ def wave_function(z, sys):
     Neumann: (2^N / sqrt((1+delta_{I1,0}) N!)) * prod sgn(z_j - z_k) *
     det cos(lam_j z_k); Dirichlet: ((2i)^N / sqrt(N!)) * prod sgn * det sin.
     Norm is (2L)^N; coincident coordinates give 0.  A stack of points is
-    one stacked determinant and returns shape z.shape[:-1]; one point
-    returns a complex.
+    evaluated at once, the determinant by cofactor expansion, and returns
+    shape z.shape[:-1]; one point returns a complex.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
@@ -88,14 +88,14 @@ def wave_function(z, sys):
     sgn = 1.0
     for j, k in combinations(range(N), 2):
         sgn = sgn * np.sign(z[..., j] - z[..., k])
-    arg = bethe_momenta(sys)[:, None] * z[..., None, :]
     if sys.kind.eps > 0:
-        mat = np.cos(arg)
+        trig = np.cos
         cons = 2.0 ** N / math.sqrt((2.0 if sys.I[0] == 0 else 1.0) * math.factorial(N))
     else:
-        mat = np.sin(arg)
+        trig = np.sin
         cons = (2j) ** N / math.sqrt(math.factorial(N))
-    out = cons * sgn * np.linalg.det(mat)
+    zk = np.moveaxis(z, -1, 0)
+    out = cons * sgn * _row_det([trig(lam * zk) for lam in bethe_momenta(sys)])
     return out.astype(complex) if np.ndim(out) else complex(out)
 
 
@@ -208,43 +208,84 @@ class FormFactorInput:
         return len(self.I_mu)
 
 
-def c_factor(x, i_lam, L, eps):
-    """C_eps(x|lam) = (e^{-i lam x} + eps e^{i lam x}) / sqrt(1 + delta_{lam,0})."""
-    lam = math.pi * i_lam / L
-    d = math.sqrt(2.0) if i_lam == 0 else 1.0
-    return (np.exp(-1j * lam * x) + eps * np.exp(1j * lam * x)) / d
+def mode_table(x, lattice, I, L, eps):
+    """One-mode factors at position x over a list of bra quantum numbers.
 
-
-def i_factor(x, i_lam, i_mu, L, eps):
-    """I_eps(x|lam, mu) with exact integer Kronecker deltas."""
+    Returns the c-vector C_eps(x|lam), shape (m,), with
+    C_eps = (e^{-i lam x} + eps e^{i lam x}) / sqrt(1 + delta_{lam,0}), and
+    the I-matrix I_eps(x|lam, mu), shape (m, N), against the ket quantum
+    numbers I; the Kronecker cases i_lam = i_mu and i_lam = i_mu = 0 are
+    decided on the integers.
+    """
+    i_lam = np.asarray(lattice, dtype=int)[:, None]
+    i_mu = np.asarray(I, dtype=int)[None, :]
     lam = math.pi * i_lam / L
     mu = math.pi * i_mu / L
-    d = math.sqrt((2.0 if i_lam == 0 else 1.0) * (2.0 if i_mu == 0 else 1.0))
-    t1 = 4.0 * x if i_lam == i_mu else 4.0 * math.sin(x * (lam - mu)) / (lam - mu)
-    t2 = 4.0 * x if (i_lam == 0 and i_mu == 0) else 4.0 * math.sin(x * (lam + mu)) / (lam + mu)
-    kron = 2.0 * L * ((1.0 if i_lam == i_mu else 0.0)
-                      + eps * (1.0 if (i_lam == 0 and i_mu == 0) else 0.0))
-    return (t1 + eps * t2 - kron) / d
+    d_lam = np.where(i_lam == 0, math.sqrt(2.0), 1.0)
+    same = i_lam == i_mu
+    zero = (i_lam == 0) & (i_mu == 0)
+    diff = np.where(same, 1.0, lam - mu)
+    plus = np.where(zero, 1.0, lam + mu)
+    t1 = np.where(same, 4.0 * x, 4.0 * np.sin(x * diff) / diff)
+    t2 = np.where(zero, 4.0 * x, 4.0 * np.sin(x * plus) / plus)
+    kron = 2.0 * L * (same + eps * zero)
+    d = d_lam * np.where(i_mu == 0, math.sqrt(2.0), 1.0)
+    c = (np.exp(-1j * lam * x) + eps * np.exp(1j * lam * x)) / d_lam
+    return c[:, 0], (t1 + eps * t2 - kron) / d
+
+
+def _form_factor_rows(x, lattice, I, L, eps):
+    """Mode table as rows (I_eps(x|lam, mu_1..mu_N), C_eps(x|lam)), shape
+    (m, N+1): the form factor of bra modes lam_0 < ... < lam_N is (-1)^N
+    times the determinant of their rows."""
+    c, imat = mode_table(x, lattice, I, L, eps)
+    return np.column_stack([imat, c])
+
+
+def _subsets(m, k):
+    """All k-subsets of range(m) as rows of increasing indices, shape
+    (C(m, k), k), in the order of itertools.combinations."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    for _ in range(k):
+        counts = m - 1 - last                  # successors of each row's last index
+        parent = np.repeat(np.arange(len(rows)), counts)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        last = last[parent] + 1 + offset
+        rows = np.column_stack([rows[parent], last])
+    return rows
+
+
+def _row_det(rows):
+    """Determinants of a stack of small k x k matrices given as k rows, each
+    an array whose first axis runs over the k columns (further axes are
+    batch axes), by cofactor expansion: the minors of the last rows over
+    every column subset, built up from the bottom row (k 2^(k-1) products,
+    against LAPACK's per-matrix call overhead on a stack of tiny matrices)."""
+    k = len(rows)
+    minors = {(): 1.0}
+    for r in range(k - 1, -1, -1):
+        lower, minors = minors, {}
+        for cols in combinations(range(k), k - r):
+            out = 0.0
+            for j, c in enumerate(cols):
+                term = rows[r][c] * lower[cols[:j] + cols[j + 1:]]
+                out = out - term if j % 2 else out + term
+            minors[cols] = out
+    return minors[tuple(range(k))]
 
 
 def form_factor(inp):
     """<Psi_{N+1}(lam)|psi^dag(x)|Psi_N(mu)> as a bordered determinant.
 
-    Sign convention matches the direct integral of the normalized wave
-    functions (the bare determinant identity produces (-1)^N of it).
+    Row j of the (N+1) x (N+1) matrix is (I_eps(x|lam_j, mu_1..mu_N),
+    C_eps(x|lam_j)): linearity in the corner entry folds C_N det M plus the
+    zero-corner bordered determinant into one.  Sign convention matches the
+    direct integral of the normalized wave functions (the bare determinant
+    identity produces (-1)^N of it).
     """
-    N = inp.N
-    eps = inp.kind.eps
-    if N == 0:
-        return complex(c_factor(inp.x, inp.I_lam[0], inp.L, eps))
-    M = np.array([[i_factor(inp.x, inp.I_lam[j], inp.I_mu[k], inp.L, eps)
-                   for k in range(N)] for j in range(N)], dtype=complex)
-    u = np.array([c_factor(inp.x, inp.I_lam[j], inp.L, eps) for j in range(N)], dtype=complex)
-    v = np.array([i_factor(inp.x, inp.I_lam[N], inp.I_mu[k], inp.L, eps)
-                  for k in range(N)], dtype=complex)
-    cN = c_factor(inp.x, inp.I_lam[N], inp.L, eps)
-    val = cN * np.linalg.det(M) + _bordered_det(M, u, v)
-    return complex((-1.0) ** N * val)
+    rows = _form_factor_rows(inp.x, inp.I_lam, inp.I_mu, inp.L, inp.kind.eps)
+    return complex((-1.0) ** inp.N * np.linalg.det(rows))
 
 
 def form_factor_direct(inp, n=110):
@@ -275,9 +316,13 @@ def finite_L_correlation(sys, x1, x2, t, lam_max, policy=DEFAULT_POLICY, h=0.0,
     """<psi(x1,0) psi^dag(x2,t)> on the N-particle state, by explicit
     summation over intermediate (N+1)-particle states up to momentum lam_max.
 
-    For t != 0 the conditionally convergent state sum is damped on the
-    intermediate energies and Richardson-extrapolated; damped=False keeps
-    the raw truncated sum (for matched-box route comparisons).
+    Each state's form factor is the determinant of the N+1 rows of the mode
+    table (I-matrix | c-vector) that its quantum numbers pick, evaluated by
+    cofactor expansion for both positions at once.  For t != 0 the
+    conditionally convergent state sum is damped on the intermediate
+    energies and Richardson-extrapolated; damped=False keeps the raw
+    truncated sum (for matched-box route comparisons).  A box with fewer
+    than N+1 modes has no intermediate state, and the sum is 0.
     """
     N = sys.N
     if N > 3:
@@ -285,48 +330,27 @@ def finite_L_correlation(sys, x1, x2, t, lam_max, policy=DEFAULT_POLICY, h=0.0,
     L = sys.L
     eps = sys.kind.eps
     base = 0 if eps > 0 else 1
-    i_max = int(lam_max * L / math.pi)
-    lattice = list(range(base, i_max + 1))
-    mus = bethe_momenta(sys)
-    mu_sq = float(np.sum(mus ** 2))
+    lattice = np.arange(base, int(lam_max * L / math.pi) + 1)
+    mu_sq = float(np.sum(bethe_momenta(sys) ** 2))
 
-    # per-mode tables
-    c1 = np.array([c_factor(x1, i, L, eps) for i in lattice])
-    c2 = np.array([c_factor(x2, i, L, eps) for i in lattice])
-    i1 = np.array([[i_factor(x1, i, im, L, eps) for im in sys.I] for i in lattice])
-    i2 = np.array([[i_factor(x2, i, im, L, eps) for im in sys.I] for i in lattice])
-    lam_all = math.pi * np.asarray(lattice, dtype=float) / L
-
-    tuples = np.array(list(combinations(range(len(lattice)), N + 1)), dtype=int)
-    lam_sq = np.sum(lam_all[tuples] ** 2, axis=1)
-
-    if N == 0:
-        ff1 = c1[tuples[:, 0]]
-        ff2 = c2[tuples[:, 0]]
-    else:
-        M1 = i1[tuples[:, :N], :]          # (T, N, N): rows bra modes, cols ket
-        M2 = i2[tuples[:, :N], :]
-        d1 = np.linalg.det(M1)
-        d2 = np.linalg.det(M2)
-        B1 = np.zeros((len(tuples), N + 1, N + 1), dtype=complex)
-        B2 = np.zeros_like(B1)
-        B1[:, :N, :N] = M1
-        B2[:, :N, :N] = M2
-        B1[:, :N, N] = c1[tuples[:, :N]]
-        B2[:, :N, N] = c2[tuples[:, :N]]
-        B1[:, N, :N] = i1[tuples[:, N], :]
-        B2[:, N, :N] = i2[tuples[:, N], :]
-        sign = (-1.0) ** N
-        ff1 = sign * (c1[tuples[:, N]] * d1 + np.linalg.det(B1))
-        ff2 = sign * (c2[tuples[:, N]] * d2 + np.linalg.det(B2))
-
-    base_terms = np.conj(ff1) * ff2 / (2.0 * L) ** (2 * N + 1)
+    # I_eps is real and C_eps is real (Neumann) or i times real (Dirichlet), so
+    # each form factor is a real determinant times a unit factor (and the
+    # sign (-1)^N), which cancel in conj(ff1) ff2.  Columns of the rows of
+    # both positions, contiguous over the modes: (N+1, 2, m)
+    unit = np.append(np.ones(N), 1.0 if eps > 0 else 1j)
+    table = np.stack([(_form_factor_rows(x, lattice, sys.I, L, eps) * unit).real.T
+                      for x in (x1, x2)], axis=1)
+    states = _subsets(len(lattice), N + 1)
+    lam_sq_all = (math.pi * lattice / L) ** 2
+    lam_sq = sum(lam_sq_all[states[:, j]] for j in range(N + 1))
+    ff = _row_det([np.take(table, states[:, j], axis=-1) for j in range(N + 1)])
+    base_terms = ff[0] * ff[1] / (2.0 * L) ** (2 * N + 1)
     phases = np.exp(1j * t * (lam_sq - mu_sq))
     if t == 0.0 or not damped:
         return complex(np.sum(base_terms * phases) * np.exp(-1j * h * t))
     # damped on the intermediate energies: node sqrt(lam_sq), unit weight
-    damped = damped_weights(np.sqrt(lam_sq), np.ones(len(lam_sq)), policy.deltas)
-    limit = damped_limit(base_terms * phases, damped)
+    weights = damped_weights(np.sqrt(lam_sq), np.ones(len(lam_sq)), policy.deltas)
+    limit = damped_limit(base_terms * phases, weights)
     return complex(limit * np.exp(-1j * h * t))
 
 
@@ -351,49 +375,73 @@ def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0
     iarr = np.asarray(sys.I)
     n_max = int(lam_max / step)
     s = step * np.arange(-n_max, n_max + 1)
-    base_phase = np.exp(1j * t * s * s)
+    # damped lattice weights times e^{i t s^2}, one column per delta: (S, K)
+    dp = damped_weights(s, np.ones(len(s)), policy.deltas)
+    if t != 0.0:
+        dp = dp * np.exp(1j * t * s * s)[:, None]
+    pref = (np.exp(-1j * s * (x1 - x2)) @ dp
+            + eps * (np.exp(-1j * s * (x1 + x2)) @ dp)) / (2.0 * L)
+    if N == 0:
+        limit, _ = richardson_sequence(list(pref))
+        return complex(limit * np.exp(-1j * h * t))
 
-    # sinc tables over the whole lattice (N x S)
-    s1m = _sinc(x1, s[None, :] - mus[:, None])
-    s1p = _sinc(x1, s[None, :] + mus[:, None])
-    s2m = _sinc(x2, s[None, :] - mus[:, None])
-    s2p = _sinc(x2, s[None, :] + mus[:, None])
-    e1 = np.exp(-1j * s * x1)
-    e2 = np.exp(-1j * s * x2)
+    # sinc tables over the whole lattice, columns (s - mu_k, s + mu_k): (S, 2N)
+    s1, s2 = _sinc_tables((x1, x2), s, mus)
+    scale = (2.0 / math.pi) * step
+    U = scale * _real_matmul(s2.T, dp * np.exp(-1j * s * x1)[:, None])     # (2N, K)
+    V = scale * _real_matmul(s1.T, dp * np.exp(-1j * s * x2)[:, None])
+    # rows j (x2 partner), then (delta, x1 partner k -+): (N, K, 2N)
+    pairs = (dp[:, :, None] * s1[:, None, :]).reshape(len(s), -1)
+    ssum = (scale * _real_matmul(s2[:, :N].T, pairs)).reshape(N, -1, 2 * N)
 
     dmu = np.sqrt(np.where(iarr == 0, 2.0, 1.0))
     ph_mu = np.exp(1j * t * mus * mus)
-    lamj = mus[:, None]
-    muk = mus[None, :]
-    norm = dmu[:, None] * dmu[None, :]
+    half = np.exp(-0.5j * t * mus * mus) / dmu
+    # the same tables at s = mu_j (symmetric in j and k for each sign)
+    near1, near2 = _sinc_tables((x1, x2), mus, mus)
+    exact = ph_mu[:, None] * near1 + np.tile(ph_mu, 2) * near2
+    mix = (2.0 / L) * half[:, None] * half[None, :]
     kron = (iarr[:, None] == iarr[None, :]).astype(float)
+    c_mu = [ph_mu * (np.exp(-1j * mus * x) + eps * np.exp(1j * mus * x)) for x in (x1, x2)]
 
     estimates = []
-    for damp in damped_weights(s, np.ones(len(s)), policy.deltas).T:
-        dp = damp * base_phase
-        pref = (np.sum(dp * np.exp(-1j * s * (x1 - x2)))
-                + eps * np.sum(dp * np.exp(-1j * s * (x1 + x2)))) / (2.0 * L)
-        if N == 0:
-            estimates.append(pref)
-            continue
-        u = np.exp(-0.5j * t * mus * mus) / dmu * (
-            (2.0 / math.pi) * step * ((dp * e1) @ s2m.T) - ph_mu * np.exp(-1j * mus * x1)
-            + eps * ((2.0 / math.pi) * step * ((dp * e1) @ s2p.T) - ph_mu * np.exp(1j * mus * x1)))
-        v = np.exp(-0.5j * t * mus * mus) / dmu * (
-            (2.0 / math.pi) * step * ((dp * e2) @ s1m.T) - ph_mu * np.exp(-1j * mus * x2)
-            + eps * ((2.0 / math.pi) * step * ((dp * e2) @ s1p.T) - ph_mu * np.exp(1j * mus * x2)))
-        ssum_p = (s2m * dp[None, :]) @ s1m.T     # rows j (x2 partner), cols k (x1 partner)
-        ssum_m = (s2m * dp[None, :]) @ s1p.T
-        part_p = (np.exp(1j * t * lamj ** 2) * _sinc(x1, lamj - muk)
-                  + np.exp(1j * t * muk ** 2) * _sinc(x2, lamj - muk)
-                  - (2.0 / math.pi) * step * ssum_p)
-        part_m = (np.exp(1j * t * lamj ** 2) * _sinc(x1, lamj + muk)
-                  + np.exp(1j * t * muk ** 2) * _sinc(x2, lamj + muk)
-                  - (2.0 / math.pi) * step * ssum_m)
-        M = kron - (2.0 / L) * np.exp(-0.5j * t * (lamj ** 2 + muk ** 2)) * (part_p + eps * part_m) / norm
-        estimates.append(pref * np.linalg.det(M) + eps / (2.0 * L) * _bordered_det(M, u, v))
+    for q in range(dp.shape[1]):
+        u = half * (U[:N, q] + eps * U[N:, q] - c_mu[0])
+        v = half * (V[:N, q] + eps * V[N:, q] - c_mu[1])
+        part = exact - ssum[:, q]
+        M = kron - mix * (part[:, :N] + eps * part[:, N:])
+        estimates.append(pref[q] * np.linalg.det(M) + eps / (2.0 * L) * _bordered_det(M, u, v))
     limit, _ = richardson_sequence(estimates)
     return complex(limit * np.exp(-1j * h * t))
+
+
+def _sinc_tables(xs, s, mus):
+    """Per x in xs, (S, 2N) columns sin(x(s - mu_k))/(s - mu_k), then
+    sin(x(s + mu_k))/(s + mu_k), from node-vector trig
+    sin(x(s -+ mu)) = sin(xs)cos(x mu) -+ cos(xs)sin(x mu) over one
+    reciprocal mesh per sign shared by all x; |s -+ mu| < 1e-9 takes the
+    limit x."""
+    u = s[:, None] + np.concatenate([-mus, mus])
+    small = np.abs(u) < 1e-9
+    recip = 1.0 / np.where(small, 1.0, u)
+    sign = np.repeat([-1.0, 1.0], len(mus))
+    tables = []
+    for x in xs:
+        num = (np.column_stack([np.sin(x * s), np.cos(x * s)])
+               @ np.vstack([np.tile(np.cos(x * mus), 2), sign * np.tile(np.sin(x * mus), 2)]))
+        num *= recip
+        num[small] = x
+        tables.append(num)
+    return tables
+
+
+def _real_matmul(a, b):
+    """a @ b for real a and real or complex b, as one real BLAS product
+    (a complex b is contracted as interleaved real and imaginary parts)."""
+    if not np.iscomplexobj(b):
+        return a @ b
+    b = np.ascontiguousarray(b)
+    return (a @ b.view(np.float64)).view(np.complex128)
 
 
 def _proposition_matched(sys, x1, x2, t, lam_max, h):
@@ -403,21 +451,18 @@ def _proposition_matched(sys, x1, x2, t, lam_max, h):
     L = sys.L
     eps = sys.kind.eps
     base = 0 if eps > 0 else 1
-    i_max = int(lam_max * L / math.pi)
-    lattice = list(range(base, i_max + 1))
+    lattice = np.arange(base, int(lam_max * L / math.pi) + 1)
     mus = bethe_momenta(sys)
-    s_all = math.pi * np.asarray(lattice, dtype=float) / L
+    s_all = math.pi * lattice / L
     phase = np.exp(1j * t * s_all * s_all)
-    c1 = np.array([c_factor(x1, i, L, eps) for i in lattice])
-    c2 = np.array([c_factor(x2, i, L, eps) for i in lattice])
+    c1, i1 = mode_table(x1, lattice, sys.I, L, eps)
+    c2, i2 = mode_table(x2, lattice, sys.I, L, eps)
     pref = eps * np.sum(phase * c1 * c2) / (2.0 * L)
     if N == 0:
         return complex(pref * np.exp(-1j * h * t))
     j_phase = np.exp(-0.5j * t * mus * mus)
-    J1 = np.array([[i_factor(x1, i, im, L, eps) for i in lattice] for im in sys.I]) \
-        * j_phase[:, None]
-    J2 = np.array([[i_factor(x2, i, im, L, eps) for i in lattice] for im in sys.I]) \
-        * j_phase[:, None]
+    J1 = i1.T * j_phase[:, None]
+    J2 = i2.T * j_phase[:, None]
     M = np.einsum('s,ks,js->jk', phase, J1, J2) / (2.0 * L) ** 2
     u = np.einsum('s,s,js->j', phase, c1, J2) / (2.0 * L)
     v = np.einsum('s,s,ks->k', phase, c2, J1) / (2.0 * L)

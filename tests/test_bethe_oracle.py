@@ -1,25 +1,35 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bosefredholm.bethe_oracle import (
     FiniteSystem,
     FormFactorInput,
+    _bordered_det,
+    _subsets,
     bethe_momenta,
     energy,
     finite_L_correlation,
     form_factor,
     form_factor_direct,
+    mode_table,
     orthogonality_check,
     permutation_identity_check,
     proposition_determinant,
     wave_function,
 )
 from bosefredholm.errors import InvalidState
-from bosefredholm.kernels import DIRICHLET, NEUMANN
+from bosefredholm.kernels import DIRICHLET, NEUMANN, _sinc
+from bosefredholm.special_integrals import (
+    DEFAULT_POLICY,
+    damped_limit,
+    damped_weights,
+    richardson_sequence,
+)
 
 L = math.pi
 
@@ -82,7 +92,7 @@ def wave_function_scalar(z, sys):
 @st.composite
 def _wave_batches(draw):
     kind = draw(st.sampled_from((NEUMANN, DIRICHLET)))
-    N = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 5))
     base = 0 if kind.eps > 0 else 1
     I = sorted(draw(st.sets(st.integers(base, base + 6), min_size=N, max_size=N)))
     box = draw(st.floats(0.5, 5.0))
@@ -176,7 +186,7 @@ def test_form_factor_vs_direct():
 
 def test_route_equivalence_matched_box():
     for kind in (NEUMANN, DIRICHLET):
-        for N in (1, 2):
+        for N in (0, 1, 2, 3):
             sys_ = FiniteSystem.ground_state(N, L, kind)
             for t in (0.0, 0.4):
                 a = finite_L_correlation(sys_, 0.7, 1.9, t, lam_max=40.0,
@@ -215,3 +225,240 @@ def test_regularized_prop_approaches_thermo_limit():
         gaps.append(abs(val - target))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# array paths of the finite-box oracle against their scalar / stacked forms
+
+def c_factor(x, i_lam, L, eps):
+    """C_eps(x|lam) = (e^{-i lam x} + eps e^{i lam x}) / sqrt(1 + delta_{lam,0})."""
+    lam = math.pi * i_lam / L
+    d = math.sqrt(2.0) if i_lam == 0 else 1.0
+    return (np.exp(-1j * lam * x) + eps * np.exp(1j * lam * x)) / d
+
+
+def i_factor(x, i_lam, i_mu, L, eps):
+    """I_eps(x|lam, mu) with exact integer Kronecker deltas."""
+    lam = math.pi * i_lam / L
+    mu = math.pi * i_mu / L
+    d = math.sqrt((2.0 if i_lam == 0 else 1.0) * (2.0 if i_mu == 0 else 1.0))
+    t1 = 4.0 * x if i_lam == i_mu else 4.0 * math.sin(x * (lam - mu)) / (lam - mu)
+    t2 = 4.0 * x if (i_lam == 0 and i_mu == 0) else 4.0 * math.sin(x * (lam + mu)) / (lam + mu)
+    kron = 2.0 * L * ((1.0 if i_lam == i_mu else 0.0)
+                      + eps * (1.0 if (i_lam == 0 and i_mu == 0) else 0.0))
+    return (t1 + eps * t2 - kron) / d
+
+
+def finite_L_correlation_stacked(sys, x1, x2, t, lam_max, policy=DEFAULT_POLICY, h=0.0,
+                                 damped=True):
+    """Oracle of finite_L_correlation: scalar mode factors, the states from
+    itertools.combinations and stacked np.linalg.det bordered determinants."""
+    N = sys.N
+    L = sys.L
+    eps = sys.kind.eps
+    base = 0 if eps > 0 else 1
+    i_max = int(lam_max * L / math.pi)
+    lattice = list(range(base, i_max + 1))
+    mus = bethe_momenta(sys)
+    mu_sq = float(np.sum(mus ** 2))
+
+    c1 = np.array([c_factor(x1, i, L, eps) for i in lattice])
+    c2 = np.array([c_factor(x2, i, L, eps) for i in lattice])
+    i1 = np.array([[i_factor(x1, i, im, L, eps) for im in sys.I] for i in lattice])
+    i2 = np.array([[i_factor(x2, i, im, L, eps) for im in sys.I] for i in lattice])
+    lam_all = math.pi * np.asarray(lattice, dtype=float) / L
+
+    tuples = np.array(list(combinations(range(len(lattice)), N + 1)), dtype=int)
+    lam_sq = np.sum(lam_all[tuples] ** 2, axis=1)
+
+    if N == 0:
+        ff1 = c1[tuples[:, 0]]
+        ff2 = c2[tuples[:, 0]]
+    else:
+        M1 = i1[tuples[:, :N], :]
+        M2 = i2[tuples[:, :N], :]
+        d1 = np.linalg.det(M1)
+        d2 = np.linalg.det(M2)
+        B1 = np.zeros((len(tuples), N + 1, N + 1), dtype=complex)
+        B2 = np.zeros_like(B1)
+        B1[:, :N, :N] = M1
+        B2[:, :N, :N] = M2
+        B1[:, :N, N] = c1[tuples[:, :N]]
+        B2[:, :N, N] = c2[tuples[:, :N]]
+        B1[:, N, :N] = i1[tuples[:, N], :]
+        B2[:, N, :N] = i2[tuples[:, N], :]
+        sign = (-1.0) ** N
+        ff1 = sign * (c1[tuples[:, N]] * d1 + np.linalg.det(B1))
+        ff2 = sign * (c2[tuples[:, N]] * d2 + np.linalg.det(B2))
+
+    base_terms = np.conj(ff1) * ff2 / (2.0 * L) ** (2 * N + 1)
+    phases = np.exp(1j * t * (lam_sq - mu_sq))
+    if t == 0.0 or not damped:
+        return complex(np.sum(base_terms * phases) * np.exp(-1j * h * t))
+    weights = damped_weights(np.sqrt(lam_sq), np.ones(len(lam_sq)), policy.deltas)
+    limit = damped_limit(base_terms * phases, weights)
+    return complex(limit * np.exp(-1j * h * t))
+
+
+def proposition_determinant_per_delta(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0,
+                                      h=0.0):
+    """Oracle of the regularized proposition_determinant: sinc tables by
+    kernels._sinc on the (N, S) mesh and one complex product per delta."""
+    N = sys.N
+    L = sys.L
+    eps = sys.kind.eps
+    step = math.pi / L
+    mus = bethe_momenta(sys)
+    iarr = np.asarray(sys.I)
+    n_max = int(lam_max / step)
+    s = step * np.arange(-n_max, n_max + 1)
+    base_phase = np.exp(1j * t * s * s)
+
+    s1m = _sinc(x1, s[None, :] - mus[:, None])
+    s1p = _sinc(x1, s[None, :] + mus[:, None])
+    s2m = _sinc(x2, s[None, :] - mus[:, None])
+    s2p = _sinc(x2, s[None, :] + mus[:, None])
+    e1 = np.exp(-1j * s * x1)
+    e2 = np.exp(-1j * s * x2)
+
+    dmu = np.sqrt(np.where(iarr == 0, 2.0, 1.0))
+    ph_mu = np.exp(1j * t * mus * mus)
+    lamj = mus[:, None]
+    muk = mus[None, :]
+    norm = dmu[:, None] * dmu[None, :]
+    kron = (iarr[:, None] == iarr[None, :]).astype(float)
+
+    estimates = []
+    for damp in damped_weights(s, np.ones(len(s)), policy.deltas).T:
+        dp = damp * base_phase
+        pref = (np.sum(dp * np.exp(-1j * s * (x1 - x2)))
+                + eps * np.sum(dp * np.exp(-1j * s * (x1 + x2)))) / (2.0 * L)
+        if N == 0:
+            estimates.append(pref)
+            continue
+        u = np.exp(-0.5j * t * mus * mus) / dmu * (
+            (2.0 / math.pi) * step * ((dp * e1) @ s2m.T) - ph_mu * np.exp(-1j * mus * x1)
+            + eps * ((2.0 / math.pi) * step * ((dp * e1) @ s2p.T) - ph_mu * np.exp(1j * mus * x1)))
+        v = np.exp(-0.5j * t * mus * mus) / dmu * (
+            (2.0 / math.pi) * step * ((dp * e2) @ s1m.T) - ph_mu * np.exp(-1j * mus * x2)
+            + eps * ((2.0 / math.pi) * step * ((dp * e2) @ s1p.T) - ph_mu * np.exp(1j * mus * x2)))
+        ssum_p = (s2m * dp[None, :]) @ s1m.T
+        ssum_m = (s2m * dp[None, :]) @ s1p.T
+        part_p = (np.exp(1j * t * lamj ** 2) * _sinc(x1, lamj - muk)
+                  + np.exp(1j * t * muk ** 2) * _sinc(x2, lamj - muk)
+                  - (2.0 / math.pi) * step * ssum_p)
+        part_m = (np.exp(1j * t * lamj ** 2) * _sinc(x1, lamj + muk)
+                  + np.exp(1j * t * muk ** 2) * _sinc(x2, lamj + muk)
+                  - (2.0 / math.pi) * step * ssum_m)
+        M = kron - (2.0 / L) * np.exp(-0.5j * t * (lamj ** 2 + muk ** 2)) * (part_p + eps * part_m) / norm
+        estimates.append(pref * np.linalg.det(M) + eps / (2.0 * L) * _bordered_det(M, u, v))
+    limit, _ = richardson_sequence(estimates)
+    return complex(limit * np.exp(-1j * h * t))
+
+
+def _quantum_numbers(draw, kind, N, span):
+    base = 0 if kind.eps > 0 else 1
+    return tuple(sorted(draw(st.sets(st.integers(base, base + span), min_size=N, max_size=N))))
+
+
+def _positions(draw, box):
+    """x1, x2 in [0, box], with the walls and x1 = x2 drawn on purpose."""
+    point = st.one_of(st.sampled_from((0.0, box)),
+                      st.floats(0.0, box, allow_nan=False, allow_subnormal=False))
+    x1 = draw(point)
+    x2 = x1 if draw(st.booleans()) else draw(point)
+    return x1, x2
+
+
+@st.composite
+def _state_sum_cases(draw):
+    kind = draw(st.sampled_from((NEUMANN, DIRICHLET)))
+    N = draw(st.integers(0, 3))
+    box = draw(st.floats(1.0, 4.0))
+    sys_ = FiniteSystem(L=box, kind=kind, I=_quantum_numbers(draw, kind, N, 5))
+    x1, x2 = _positions(draw, box)
+    t = draw(st.one_of(st.just(0.0), st.floats(-0.8, 0.8)))
+    lam_max = draw(st.floats(1.0, 14.0))
+    return sys_, x1, x2, t, lam_max, draw(st.booleans()), draw(st.sampled_from((0.0, 1.3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_state_sum_cases())
+def test_state_sum_equals_stacked_det_oracle(case):
+    sys_, x1, x2, t, lam_max, damped, h = case
+    base = 0 if sys_.kind.eps > 0 else 1
+    assume(int(lam_max * sys_.L / math.pi) - base + 1 >= sys_.N + 1)   # the oracle needs a state
+    ref = finite_L_correlation_stacked(sys_, x1, x2, t, lam_max, h=h, damped=damped)
+    val = finite_L_correlation(sys_, x1, x2, t, lam_max, h=h, damped=damped)
+    assert abs(val - ref) <= 1e-13 * (1.0 + abs(ref)), (val, ref)
+
+
+@st.composite
+def _box_cases(draw):
+    kind = draw(st.sampled_from((NEUMANN, DIRICHLET)))
+    N = draw(st.integers(0, 8))
+    box = 8.0
+    sys_ = FiniteSystem(L=box, kind=kind, I=_quantum_numbers(draw, kind, N, 10))
+    x1, x2 = _positions(draw, box)
+    t = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    return sys_, x1, x2, t, draw(st.sampled_from((0.0, 1.3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_cases())
+def test_regularized_determinant_equals_per_delta_oracle(case):
+    sys_, x1, x2, t, h = case
+    ref = proposition_determinant_per_delta(sys_, x1, x2, t, h=h)
+    val = proposition_determinant(sys_, x1, x2, t, h=h)
+    assert abs(val - ref) <= 1e-13 * (1.0 + abs(ref)), (val, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 61), st.integers(1, 4))
+@example(61, 4)
+@example(3, 4)
+@example(0, 1)
+def test_subsets_equal_itertools_combinations(m, k):
+    ref = list(combinations(range(m), k))
+    out = _subsets(m, k)
+    assert out.shape == (len(ref), k)
+    assert out.tolist() == [list(r) for r in ref]
+
+
+@st.composite
+def _mode_cases(draw):
+    kind = draw(st.sampled_from((NEUMANN, DIRICHLET)))
+    base = 0 if kind.eps > 0 else 1
+    I = _quantum_numbers(draw, kind, draw(st.integers(0, 4)), 8)
+    # bra modes drawn from the same range, so i_lam = i_mu (and both 0) occur
+    lattice = draw(st.lists(st.integers(base, base + 8), min_size=0, max_size=12))
+    box = draw(st.floats(0.5, 6.0))
+    x = draw(st.one_of(st.sampled_from((0.0, box)), st.floats(0.0, box)))
+    return x, lattice, I, box, kind.eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mode_cases())
+@example((0.7, [0, 0, 1, 2], (0, 2), math.pi, 1.0))
+@example((0.7, [1, 2, 3], (1, 3), math.pi, -1.0))
+def test_mode_table_equals_scalar_factors(case):
+    x, lattice, I, box, eps = case
+    c, imat = mode_table(x, lattice, I, box, eps)
+    assert c.shape == (len(lattice),) and imat.shape == (len(lattice), len(I))
+    for a, i in enumerate(lattice):
+        ref = c_factor(x, i, box, eps)
+        assert abs(c[a] - ref) <= 1e-13 * (1.0 + abs(ref))
+        for b, im in enumerate(I):
+            ref = i_factor(x, i, im, box, eps)
+            assert abs(imat[a, b] - ref) <= 1e-13 * (1.0 + abs(ref)), (i, im)
+
+
+@pytest.mark.parametrize("N,lam_max", [(3, 2.0), (3, 0.5), (1, 0.5)])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("damped", [True, False])
+def test_empty_state_set_is_zero(N, lam_max, t, damped):
+    # fewer than N+1 modes below lam_max: no intermediate state, an empty sum
+    sys_ = FiniteSystem.ground_state(N, L, NEUMANN)
+    a = finite_L_correlation(sys_, 0.7, 1.9, t, lam_max=lam_max, damped=damped)
+    b = proposition_determinant(sys_, 0.7, 1.9, t, lam_max=lam_max, mode="matched")
+    assert abs(a - b) <= 1e-10 * (1 + abs(a))

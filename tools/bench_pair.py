@@ -108,7 +108,8 @@ def main(argv=None):
     seconds = benchmark["run_seconds"]
     parent_commit = git("rev-parse", f"{args.parent}^{{commit}}").decode().strip()
     change_commit = git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    # untracked, non-ignored files count: snapshot() copies them into the change tree
+    dirty = bool(git("status", "--porcelain", "--untracked-files=all").strip())
 
     results = {"parent": [], "change": []}
     records = {"parent": [], "change": []}
