@@ -363,10 +363,12 @@ def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0
     thermodynamic-limit workhorse).  mode "matched": raw truncated sums over
     the half-lattice up to lam_max; with the same box, agreement with
     finite_L_correlation is exact algebra, making the two routes comparable
-    at machine precision.
+    at machine precision.  Any other mode raises ValueError.
     """
     if mode == "matched":
         return _proposition_matched(sys, x1, x2, t, lam_max, h)
+    if mode != "regularized":
+        raise ValueError(f"unknown mode {mode!r} (want 'regularized' or 'matched')")
     N = sys.N
     L = sys.L
     eps = sys.kind.eps

@@ -72,10 +72,6 @@ def parse_range(text):
     raise CliError(f"cannot parse range {text!r} (want scalar or start:stop:count)")
 
 
-def build_policy(args):
-    return RegularizationPolicy(damping=args.damping, extrapolation_orders=args.orders)
-
-
 def _eps_kind(eps):
     if eps in ("+", "+1", "1", "neumann"):
         return NEUMANN
@@ -296,16 +292,6 @@ def cmd_kernel_dump(args):
     return 0
 
 
-def cmd_oracle(args):
-    from .validate import oracle_checks
-
-    report = oracle_checks(quick=not args.full)
-    payload = {"suite": "oracle", "checks": report,
-               "passed": all(c["passed"] for c in report)}
-    _write_output(json.dumps(payload, indent=1) + "\n", args.output)
-    return 0 if payload["passed"] else 2
-
-
 def cmd_lax_check(args):
     from .nls_system import (FourPointConfig, build_b, build_line_grid,
                              lax_compatibility_residual)
@@ -313,7 +299,7 @@ def cmd_lax_check(args):
     thermal = ThermalParams(h=args.h, T=args.T)
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, thermal, D=args.D if args.T == 0 else 0.0)
     cfg = FourPointConfig(y=tuple(args.y), t=tuple(args.tt))
-    policy = build_policy(args)
+    policy = RegularizationPolicy(damping=args.damping, extrapolation_orders=args.orders)
     stencil = build_line_grid(cfg, policy)
     res_big = lax_compatibility_residual(cfg, pt, step=args.step, n=args.n, line_grid=stencil)
     res_small = lax_compatibility_residual(cfg, pt, step=args.step / 2.0, n=args.n,
@@ -340,10 +326,11 @@ def cmd_lax_check(args):
     return 0
 
 
-def cmd_validate(args):
+def cmd_suite(args):
+    """JSON report of a check suite: validate --suite fast|all, oracle [--full]."""
     from .validate import run_suite
 
-    report = run_suite(args.suite)
+    report = run_suite("oracle-full" if args.full else args.suite)
     payload = {"suite": args.suite, "checks": report,
                "passed": all(c["passed"] for c in report)}
     _write_output(json.dumps(payload, indent=1) + "\n", args.output)
@@ -360,9 +347,9 @@ def _add_n(sub, default=64):
 
 
 def _add_policy(sub, note=""):
-    sub.add_argument("--damping", type=float, default=1e-2,
+    sub.add_argument("--damping", type=float, default=RegularizationPolicy.damping,
                      help="largest damping delta" + note)
-    sub.add_argument("--orders", type=int, default=3,
+    sub.add_argument("--orders", type=int, default=RegularizationPolicy.extrapolation_orders,
                      help="number of damping halvings" + note)
 
 
@@ -448,7 +435,7 @@ def make_parser():
     o = subs.add_parser("oracle", help="finite-size oracle checks (JSON report)")
     o.add_argument("--full", action="store_true")
     _add_output(o)
-    o.set_defaults(func=cmd_oracle)
+    o.set_defaults(func=cmd_suite, suite="oracle")
 
     x = subs.add_parser("lax-check", help="Lax compatibility residuals")
     x.add_argument("--y", type=float, nargs=4, default=(0.15, 0.45, -0.35, 0.8))
@@ -465,7 +452,7 @@ def make_parser():
     v = subs.add_parser("validate", help="invariant suite (JSON report)")
     v.add_argument("--suite", default="fast", choices=("fast", "all"))
     _add_output(v)
-    v.set_defaults(func=cmd_validate)
+    v.set_defaults(func=cmd_suite, full=False)
     return parser
 
 

@@ -173,13 +173,12 @@ def det_with_rank_one_derivative(op, pert):
     return det, -det * pert.sign * inner
 
 
-def fredholm_minor_first(op, xi, eta, inhomogeneous_kernel=None):
+def fredholm_minor_first(op, xi, eta):
     """First Fredholm minor of (I - scale*K-hat) pinned at row xi, column eta.
 
     Solves the resolvent-type equation
-        D(z) - scale * int K(z, s) w(s) D(s) ds = -scale * Kcol(z, eta)
-    on the grid (Kcol defaults to kernel*weight) and Nystrom-interpolates to
-    z = xi.  Returns det * D(xi).
+        D(z) - scale * int K(z, s) w(s) D(s) ds = -scale * K(z, eta) w(eta)
+    on the grid and Nystrom-interpolates to z = xi.  Returns det * D(xi).
     """
     if op.kernel is None:
         raise NumericalFailure("operator carries no kernel function for off-grid evaluation")
@@ -196,10 +195,6 @@ def fredholm_minor_first(op, xi, eta, inhomogeneous_kernel=None):
         if op.weight_fn is not None:
             vals = vals * op.weight_fn(np.asarray([eta]))[0]
         return vals
-
-    if inhomogeneous_kernel is not None:
-        def kcol(z):  # noqa: F811 - caller-supplied column
-            return np.asarray(inhomogeneous_kernel(np.asarray(z, dtype=float), eta), dtype=complex)
 
     det = fredholm_det(op)
     d_nodes = resolvent_apply(op, -op.scale * kcol(quad.nodes))

@@ -271,8 +271,9 @@ class _LineSamples:
     sample on its nodes, once for all of build_b: G_1 and G_2, the phase
     col_1 row_2, the weight columns, and the integrals on one lam grid."""
 
-    def __init__(self, cfg, nodes, damped, deltas=None):
-        self.nodes, self.deltas = nodes, deltas
+    def __init__(self, cfg, line_grid):
+        nodes, damped = line_grid.nodes, line_grid.damped
+        self.nodes, self.deltas = nodes, line_grid.deltas
         a1, a2 = self.aux = build_aux_fields(cfg)
         self.g = g1, g2 = a1.hilbert(nodes), a2.hilbert(nodes)
         m = a1.col_phase(nodes) * a2.row_phase(nodes)
@@ -292,14 +293,13 @@ class _LineSamples:
 
 
 def _line_samples(cfg, policy, line_grid):
-    """Samples of cfg on the given line grid ((nodes, damped-weight matrix),
-    or a LineGrid), or on the grid of cfg under its adapted policy; samples
-    that build_b passes on are used as they are."""
+    """Samples of cfg on the given LineGrid, or on the grid of cfg under its
+    adapted policy; samples that build_b passes on are used as they are."""
     if isinstance(line_grid, _LineSamples):
         return line_grid
     if line_grid is None:
         line_grid = build_line_grid(cfg, adapt_policy(cfg, policy))
-    return _LineSamples(cfg, *line_grid)
+    return _LineSamples(cfg, line_grid)
 
 
 def _closed_form(cfg, line_grid):
@@ -419,8 +419,8 @@ class NlsMatrices:
     Q: np.ndarray
     B: np.ndarray
     degenerate_entries: list = field(default_factory=list)
-    # the damped line grid: its node count and deltas (None for a bare
-    # (nodes, damped) pair); 0 and () when every integral is a closed form
+    # the damped line grid: its node count and deltas; 0 and () when every
+    # integral is a closed form
     line_nodes: int = 0
     deltas: tuple = ()
 
@@ -487,10 +487,9 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     At a closed-form configuration (first pair coincident, second pair
     equal-time, as correlation(0, x, t)) with no line_grid, every
     whole-line integral is a closed form and no line grid is built.
-    Otherwise the integrals are damped on the given line_grid (a LineGrid,
-    or a (nodes, damped-weight matrix) pair), or on the grid built for cfg
-    under adapt_policy(cfg, policy), with G_1 and G_2 sampled on it once;
-    the result reports that grid's node count and deltas.
+    Otherwise the integrals are damped on the given LineGrid, or on the grid
+    built for cfg under adapt_policy(cfg, policy), with G_1 and G_2 sampled
+    on it once; the result reports that grid's node count and deltas.
     """
     quad, weight_fn = _spectral_grid(ensemble, n)
     if not _closed_form(cfg, line_grid):

@@ -1,8 +1,8 @@
-"""Named invariant checks behind the CLI `validate` and `oracle` commands.
-
-Each check returns {"name", "passed", "metric", "tolerance"}; the fast suite
-is a quick operational mirror of the full pytest acceptance battery.
-"""
+"""Named checks behind the CLI and the test suite: each measurement takes its
+inputs as arguments and returns its worst metric (orthogonality two).  CHECKS
+holds the CLI rows (name, tolerance, measurement at fixed arguments), SUITES
+the rows each suite runs; the tests call the measurements with their own
+inputs and bounds."""
 
 import math
 
@@ -18,208 +18,218 @@ from .bethe_oracle import (
     permutation_identity_check,
     proposition_determinant,
 )
-from .correlators import (
-    PhysicalPoint,
-    correlation_ground,
-    correlation_static,
-    correlation_thermal,
-    density_of_temperature,
-)
-from .kernels import (
-    DIRICHLET,
-    GeometryParams,
-    NEUMANN,
-    ThermalParams,
-    kernel_K_static,
-    kernel_L,
-    kernel_theta,
-)
-from .special_integrals import (
-    DEFAULT_POLICY,
-    damped_line_integral,
-    gaussian_fresnel,
-    pv_fresnel_hilbert,
-    pv_quadrature,
-)
+from .correlators import (PhysicalPoint, correlation_ground, correlation_static,
+                          correlation_thermal, density_of_temperature)
+from .kernels import (DIRICHLET, GeometryParams, NEUMANN, ThermalParams, kernel_K_static,
+                      kernel_L, kernel_theta)
+from .special_integrals import (DEFAULT_POLICY, RegularizationPolicy, damped_line_integral,
+                                damped_weights, gaussian_fresnel, pv_fresnel_hilbert,
+                                pv_quadrature, richardson_sequence)
+
+_WALLS = (NEUMANN, DIRICHLET)
 
 
-def _check(name, metric, tol):
-    return {"name": name, "passed": bool(metric <= tol), "metric": float(metric),
-            "tolerance": float(tol)}
+def _value(x1, x2, t, kind, T, n):
+    """Correlator value at h = 1: ground (D = 1) at T = 0, else thermal."""
+    p = ThermalParams(h=1.0, T=T)
+    if T == 0.0:
+        return correlation_ground(PhysicalPoint(x1, x2, t, kind, p, D=1.0), n=n,
+                                  with_error=False).value
+    return correlation_thermal(PhysicalPoint(x1, x2, t, kind, p), n=n, with_error=False).value
 
 
-def check_gaussian_closed_form():
-    from .special_integrals import RegularizationPolicy
-
-    pol = RegularizationPolicy(damping=1e-2, extrapolation_orders=5)
+def gaussian_fresnel_error(points, policy):
+    """Worst |G - damped quadrature| / (1 + |G|) over (x, t) points."""
     worst = 0.0
-    for x, t in ((0.0, 1.0), (1.2, 0.7), (2.0, -0.4)):
+    for x, t in points:
         closed = gaussian_fresnel(x, t)
         damped = damped_line_integral(
             lambda s: np.exp(1j * t * s * s - 1j * x * s) / (2.0 * math.pi),
-            pol, phase_scale=abs(t))
+            policy, phase_scale=abs(t))
         worst = max(worst, abs(closed - damped) / (1.0 + abs(closed)))
-    return _check("gaussian_fresnel closed form vs damped quadrature", worst, 1e-8)
+    return worst
 
 
-def check_hilbert_conjugation():
-    rng = np.random.default_rng(7)
+def hilbert_conjugation_error(seed, draws, span):
+    """Worst |conj H(lam, y, t) - H(lam, -y, -t)| at random (lam, y, t) in [-span, span]."""
+    rng = np.random.default_rng(seed)
+    return max(abs(np.conj(pv_fresnel_hilbert(lam, y, t)) - pv_fresnel_hilbert(lam, -y, -t))
+               for lam, y, t in rng.uniform(-span, span, size=(draws, 3)))
+
+
+def hilbert_quadrature_error(points, policy):
+    """Worst |H - oracle| / (1 + |H|) over (lam, y, t) points; the oracle is
+    pv_quadrature of one damped integrand per delta of policy, extrapolated."""
     worst = 0.0
-    for _ in range(25):
-        lam, y, t = rng.uniform(-2, 2, size=3)
-        a = np.conj(pv_fresnel_hilbert(lam, y, t))
-        b = pv_fresnel_hilbert(lam, -y, -t)
-        worst = max(worst, abs(a - b))
-    return _check("pv_fresnel_hilbert conjugation symmetry", worst, 1e-10)
-
-
-def check_hilbert_vs_pv_quadrature():
-    from .special_integrals import damped_weights, richardson_sequence
-
-    worst = 0.0
-    deltas = DEFAULT_POLICY.deltas
-    for lam, y, t in ((0.7, 0.4, 1.0), (-1.2, 0.8, -0.5), (1.0, 2.0, 0.0)):
+    for lam, y, t in points:
         closed = pv_fresnel_hilbert(lam, y, t)
-        window = DEFAULT_POLICY.tail_cut + abs(lam)
+        window = policy.tail_cut + abs(lam)
         n_panels = int(window * (2 * abs(t) * window + abs(y) + 2) / 3.0)
-        # one damped integrand per delta, rows of shape (k, ns)
         vals = pv_quadrature(
             lambda s: np.exp(1j * t * s * s - 1j * y * s)
-            * damped_weights(s, np.ones(len(s)), deltas).T,
+            * damped_weights(s, np.ones(len(s)), policy.deltas).T,
             lam, window=window, n_panels=n_panels)
         orc, _ = richardson_sequence(vals)
         worst = max(worst, abs(closed - orc) / (1.0 + abs(closed)))
-    return _check("pv_fresnel_hilbert vs pv_quadrature oracle", worst, 5e-6)
+    return worst
 
 
-def check_kernel_reflection():
-    rng = np.random.default_rng(3)
-    g = GeometryParams(0.4, 1.1, 0.6)
-    lam, mu = rng.uniform(-2.5, 2.5, size=(30, 2)).T
-    worst = np.max(np.abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g)))
-    return _check("kernel reflection L(lam,-mu) = L(-lam,mu)", worst, 1e-10)
-
-
-def check_theta_static_reduction():
-    p0 = ThermalParams(h=1.3, T=0.0)
-    grid = np.linspace(0.05, 2.0, 8)
-    xi, eta = grid[:, None], grid[None, :]
-    worst = max(np.max(np.abs(kernel_theta(xi, eta, kind, p0)
-                              - kernel_K_static(xi, eta, kind, math.sqrt(p0.h))))
-                for kind in (NEUMANN, DIRICHLET))
-    return _check("thermal kernel at T=0 equals static sine kernel", worst, 1e-10)
-
-
-def check_permutation_identity():
-    rng = np.random.default_rng(11)
+def kernel_reflection_error(seed, draws, geometries):
+    """Worst |L(lam, -mu) - L(-lam, mu)| at random (lam, mu) per (x1, x2, t)."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for N in (1, 2, 3):
-        for _ in range(10):
+    for geom in geometries:
+        g = GeometryParams(*geom)
+        lam, mu = rng.uniform(-2.5, 2.5, size=(draws, 2)).T
+        worst = max(worst, np.max(np.abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g))))
+    return worst
+
+
+def theta_static_error(h, grid):
+    """Worst |theta - K_static(sqrt h)| at T = 0 on the grid mesh, both walls."""
+    p0 = ThermalParams(h=h, T=0.0)
+    xi, eta = grid[:, None], grid[None, :]
+    return max(np.max(np.abs(kernel_theta(xi, eta, kind, p0)
+                             - kernel_K_static(xi, eta, kind, math.sqrt(h))))
+               for kind in _WALLS)
+
+
+def permutation_identity_error(seed, orders, draws):
+    """Worst |lhs - rhs| of permutation_identity_check at random complex
+    (f, g), draws per N in orders."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for N in orders:
+        for _ in range(draws):
             f = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
             g = rng.normal(size=(N + 1, N)) + 1j * rng.normal(size=(N + 1, N))
             lhs, rhs = permutation_identity_check(N, f, g)
             worst = max(worst, abs(lhs - rhs))
-    return _check("permutation/determinant identity", worst, 1e-12)
+    return worst
 
 
-def check_form_factors():
-    rng = np.random.default_rng(5)
+def form_factor_error(seed, orders, x_max, nodes):
+    """Worst |form_factor - form_factor_direct(n=nodes[N])| / |direct| at L = pi,
+    per wall and entry of orders: N drawn from the entry (a one-element entry
+    draws nothing), random quantum numbers and x in [0.3, x_max]."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for kind in (NEUMANN, DIRICHLET):
+    for kind in _WALLS:
         base = 0 if kind.eps > 0 else 1
-        for _ in range(3):
-            N = int(rng.integers(1, 3))
+        for choices in orders:
+            N = int(rng.choice(choices))
             ims = tuple(sorted(rng.choice(np.arange(base, base + 6), size=N, replace=False)))
             ils = tuple(sorted(rng.choice(np.arange(base, base + 7), size=N + 1, replace=False)))
-            inp = FormFactorInput(I_lam=ils, I_mu=ims, x=float(rng.uniform(0.3, 2.6)),
+            inp = FormFactorInput(I_lam=ils, I_mu=ims, x=float(rng.uniform(0.3, x_max)),
                                   kind=kind, L=math.pi)
-            a = form_factor(inp)
-            b = form_factor_direct(inp, n=90 if N == 1 else 60)
-            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
-    return _check("form factor determinant vs direct integral", worst, 1e-8)
+            direct = form_factor_direct(inp, n=nodes[N])
+            worst = max(worst, abs(form_factor(inp) - direct) / max(abs(direct), 1e-30))
+    return worst
 
 
-def check_orthogonality():
-    worst = 0.0
+def orthogonality_error(groups):
+    """(diagonal, off-diagonal) worst |<a|b> - (2L)^N delta_ab| / (2L)^N at
+    L = pi over (wall, states) groups: every state, every pair in a group."""
     L = math.pi
-    for kind in (NEUMANN, DIRICHLET):
-        base = 0 if kind.eps > 0 else 1
-        s1 = FiniteSystem(L=L, kind=kind, I=(base,))
-        s2 = FiniteSystem(L=L, kind=kind, I=(base + 2,))
-        diag = orthogonality_check(s1, s1)
-        off = orthogonality_check(s1, s2)
-        worst = max(worst, abs(diag - 2 * L) / (2 * L), abs(off) / (2 * L))
-    return _check("state orthogonality (N=1)", worst, 1e-10)
+    worst_diag = worst_off = 0.0
+    for kind, states in groups:
+        systems = [FiniteSystem(L=L, kind=kind, I=I) for I in states]
+        for i, sa in enumerate(systems):
+            norm = (2 * L) ** sa.N
+            worst_diag = max(worst_diag, abs(orthogonality_check(sa, sa) - norm) / norm)
+            for sb in systems[i + 1:]:
+                worst_off = max(worst_off, abs(orthogonality_check(sa, sb)) / norm)
+    return worst_diag, worst_off
 
 
-def check_route_equivalence():
+def route_equivalence_error(orders, times, lam_max, damped):
+    """Worst |state sum - matched determinant| / (1 + |state sum|) of ground
+    states at L = pi, x = (0.7, 1.9), per wall, N in orders and t in times."""
     worst = 0.0
-    L = math.pi
-    for kind in (NEUMANN, DIRICHLET):
-        sys = FiniteSystem.ground_state(2, L, kind)
-        a = finite_L_correlation(sys, 0.7, 1.9, 0.0, lam_max=60.0)
-        b = proposition_determinant(sys, 0.7, 1.9, 0.0, lam_max=60.0, mode="matched")
-        worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-    return _check("finite-size correlator route equivalence (t=0, N=2)", worst, 1e-8)
+    for kind in _WALLS:
+        for N in orders:
+            sys = FiniteSystem.ground_state(N, math.pi, kind)
+            for t in times:
+                a = finite_L_correlation(sys, 0.7, 1.9, t, lam_max=lam_max, damped=damped)
+                b = proposition_determinant(sys, 0.7, 1.9, t, lam_max=lam_max, mode="matched")
+                worst = max(worst, abs(a - b) / (1.0 + abs(a)))
+    return worst
 
 
-def check_dirichlet_null():
-    pt = PhysicalPoint(0.0, 0.9, 0.4, DIRICHLET, ThermalParams(h=1.0, T=0.0), D=1.0)
-    res = correlation_ground(pt, n=48, with_error=False)
-    ptn = PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
-    scale = abs(correlation_ground(ptn, n=48, with_error=False).value)
-    return _check("Dirichlet correlator vanishes at the wall", abs(res.value) / scale, 1e-10)
+def dirichlet_null_ratio(T, n):
+    """|Dirichlet| / |Neumann| correlator at the wall, (x1, x2, t) = (0, 0.9, 0.4)."""
+    return abs(_value(0.0, 0.9, 0.4, DIRICHLET, T, n)) / abs(_value(0.0, 0.9, 0.4, NEUMANN, T, n))
 
 
-def check_hermiticity():
-    pt_a = PhysicalPoint(0.3, 0.9, 0.5, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
-    pt_b = PhysicalPoint(0.9, 0.3, -0.5, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
-    a = correlation_ground(pt_a, n=56, with_error=False).value
-    b = correlation_ground(pt_b, n=56, with_error=False).value
-    return _check("hermiticity value(x1,x2,t)* = value(x2,x1,-t)",
-                  abs(np.conj(a) - b) / abs(a), 1e-8)
+def hermiticity_error(x1, x2, t, kind, T, n):
+    """|conj C(x1, x2, t) - C(x2, x1, -t)| / |C(x1, x2, t)|."""
+    a = _value(x1, x2, t, kind, T, n)
+    return abs(np.conj(a) - _value(x2, x1, -t, kind, T, n)) / abs(a)
 
 
-def check_static_matches_dynamic():
-    p = ThermalParams(h=1.0, T=0.5)
-    pt = PhysicalPoint(0.4, 1.1, 0.0, NEUMANN, p)
-    a = correlation_thermal(pt, n=100, with_error=False).value
-    b = correlation_static(0.4, 1.1, NEUMANN, p, n=90)
-    return _check("static minor equals dynamic value at t=0", abs(a - b) / abs(a), 1e-9)
+def static_dynamic_error(kind, n_dynamic, n_static):
+    """|dynamic value at t = 0 - static minor| / |dynamic| at (0.4, 1.1), T = 0.5."""
+    a = _value(0.4, 1.1, 0.0, kind, 0.5, n_dynamic)
+    b = correlation_static(0.4, 1.1, kind, ThermalParams(h=1.0, T=0.5), n=n_static)
+    return abs(a - b) / abs(a)
 
 
-def check_density_limit():
-    d = density_of_temperature(ThermalParams(h=1.0, T=1e-4))
-    return _check("density T->0 limit sqrt(h)/pi", abs(d - 1.0 / math.pi), 1e-3)
+def density_limit_error(T):
+    """|D(T) - sqrt(h)/pi| at h = 1."""
+    return abs(density_of_temperature(ThermalParams(h=1.0, T=T)) - 1.0 / math.pi)
 
 
-FAST_CHECKS = (
-    check_gaussian_closed_form,
-    check_hilbert_conjugation,
-    check_kernel_reflection,
-    check_theta_static_reduction,
-    check_permutation_identity,
-    check_orthogonality,
-    check_dirichlet_null,
-    check_density_limit,
-)
+CHECKS = {
+    "gaussian": ("gaussian_fresnel closed form vs damped quadrature", 1e-8,
+                 lambda: gaussian_fresnel_error(
+                     ((0.0, 1.0), (1.2, 0.7), (2.0, -0.4)),
+                     RegularizationPolicy(damping=1e-2, extrapolation_orders=5))),
+    "conjugation": ("pv_fresnel_hilbert conjugation symmetry", 1e-10,
+                    lambda: hilbert_conjugation_error(seed=7, draws=25, span=2.0)),
+    "reflection": ("kernel reflection L(lam,-mu) = L(-lam,mu)", 1e-10,
+                   lambda: kernel_reflection_error(seed=3, draws=30,
+                                                   geometries=((0.4, 1.1, 0.6),))),
+    "theta": ("thermal kernel at T=0 equals static sine kernel", 1e-10,
+              lambda: theta_static_error(1.3, np.linspace(0.05, 2.0, 8))),
+    "permutation": ("permutation/determinant identity", 1e-12,
+                    lambda: permutation_identity_error(seed=11, orders=(1, 2, 3), draws=10)),
+    "orthogonality": ("state orthogonality (N=1)", 1e-10,
+                      lambda: max(orthogonality_error(((NEUMANN, ((0,), (2,))),
+                                                       (DIRICHLET, ((1,), (3,))))))),
+    "null": ("Dirichlet correlator vanishes at the wall", 1e-10,
+             lambda: dirichlet_null_ratio(T=0.0, n=48)),
+    "density": ("density T->0 limit sqrt(h)/pi", 1e-3, lambda: density_limit_error(1e-4)),
+    "quadrature": ("pv_fresnel_hilbert vs pv_quadrature oracle", 5e-6,
+                   lambda: hilbert_quadrature_error(
+                       ((0.7, 0.4, 1.0), (-1.2, 0.8, -0.5), (1.0, 2.0, 0.0)), DEFAULT_POLICY)),
+    "form-factors": ("form factor determinant vs direct integral", 1e-8,
+                     lambda: form_factor_error(seed=5, orders=((1, 2),) * 3, x_max=2.6,
+                                               nodes={1: 90, 2: 60})),
+    "routes": ("finite-size correlator route equivalence (t=0, N=2)", 1e-8,
+               lambda: route_equivalence_error(orders=(2,), times=(0.0,), lam_max=60.0,
+                                               damped=True)),
+    "hermiticity": ("hermiticity value(x1,x2,t)* = value(x2,x1,-t)", 1e-8,
+                    lambda: hermiticity_error(0.3, 0.9, 0.5, NEUMANN, T=0.0, n=56)),
+    "static": ("static minor equals dynamic value at t=0", 1e-9,
+               lambda: static_dynamic_error(NEUMANN, n_dynamic=100, n_static=90)),
+}
 
-SLOW_CHECKS = (
-    check_hilbert_vs_pv_quadrature,
-    check_form_factors,
-    check_route_equivalence,
-    check_hermiticity,
-    check_static_matches_dynamic,
-)
+_FAST = ("gaussian", "conjugation", "reflection", "theta", "permutation", "orthogonality",
+         "null", "density")
+SUITES = {
+    "fast": _FAST,
+    "all": _FAST + ("quadrature", "form-factors", "routes", "hermiticity", "static"),
+    "oracle": ("permutation", "orthogonality"),
+    "oracle-full": ("permutation", "orthogonality", "form-factors", "routes"),
+}
 
 
-def run_suite(suite="fast"):
-    checks = FAST_CHECKS if suite == "fast" else FAST_CHECKS + SLOW_CHECKS
-    return [fn() for fn in checks]
-
-
-def oracle_checks(quick=True):
-    checks = [check_permutation_identity, check_orthogonality]
-    if not quick:
-        checks += [check_form_factors, check_route_equivalence]
-    return [fn() for fn in checks]
+def run_suite(suite):
+    """The report of a suite: one {name, passed, metric, tolerance} per check."""
+    report = []
+    for key in SUITES[suite]:
+        name, tol, measure = CHECKS[key]
+        metric = measure()
+        report.append({"name": name, "passed": bool(metric <= tol), "metric": float(metric),
+                       "tolerance": float(tol)})
+    return report

@@ -7,15 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from bosefredholm.bethe_oracle import (
-    FiniteSystem,
-    FormFactorInput,
-    form_factor,
-    form_factor_direct,
-    orthogonality_check,
-    permutation_identity_check,
-    proposition_determinant,
-)
+from bosefredholm.bethe_oracle import FiniteSystem, proposition_determinant
 from bosefredholm.correlators import (
     PhysicalPoint,
     boundary_w_det,
@@ -47,6 +39,13 @@ from bosefredholm.special_integrals import (
     graded_line_grid,
     richardson_sequence,
 )
+from bosefredholm.validate import (
+    dirichlet_null_ratio,
+    form_factor_error,
+    hermiticity_error,
+    orthogonality_error,
+    permutation_identity_error,
+)
 
 POL4 = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
 POL5 = RegularizationPolicy(damping=4e-3, extrapolation_orders=5)
@@ -61,14 +60,7 @@ def _report(num, name, passed, detail):
 
 def test_criterion_01_permutation_identity():
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for N in (1, 2, 3, 4):
-        for _ in range(100):
-            f = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-            g = rng.normal(size=(N + 1, N)) + 1j * rng.normal(size=(N + 1, N))
-            lhs, rhs = permutation_identity_check(N, f, g)
-            worst = max(worst, abs(lhs - rhs))
+    worst = permutation_identity_error(seed=101, orders=(1, 2, 3, 4), draws=100)
     runtime = time.time() - t0
     ok = worst <= 1e-12 and runtime < 5.0
     assert _report(1, "permutation/determinant identity",
@@ -77,24 +69,9 @@ def test_criterion_01_permutation_identity():
 
 def test_criterion_02_form_factors():
     t0 = time.time()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    count = 0
-    for kind in (NEUMANN, DIRICHLET):
-        base = 0 if kind.eps > 0 else 1
-        for N, reps in ((1, 6), (2, 4)):
-            for _ in range(reps):
-                ims = tuple(sorted(rng.choice(np.arange(base, base + 6), size=N,
-                                              replace=False)))
-                ils = tuple(sorted(rng.choice(np.arange(base, base + 7), size=N + 1,
-                                              replace=False)))
-                inp = FormFactorInput(I_lam=ils, I_mu=ims,
-                                      x=float(rng.uniform(0.3, 2.7)),
-                                      kind=kind, L=math.pi)
-                a = form_factor(inp)
-                b = form_factor_direct(inp, n=110 if N == 1 else 70)
-                worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
-                count += 1
+    orders = ((1,),) * 6 + ((2,),) * 4          # per wall: six N = 1, four N = 2
+    worst = form_factor_error(seed=202, orders=orders, x_max=2.7, nodes={1: 110, 2: 70})
+    count = 2 * len(orders)
     runtime = time.time() - t0
     ok = worst <= 1e-8 and count == 20 and runtime < 60.0
     assert _report(2, "form factor vs direct integral",
@@ -103,22 +80,9 @@ def test_criterion_02_form_factors():
 
 def test_criterion_03_orthogonality():
     t0 = time.time()
-    L = math.pi
-    worst_diag = 0.0
-    worst_off = 0.0
-    for kind in (NEUMANN, DIRICHLET):
-        base = 0 if kind.eps > 0 else 1
-        pairs1 = [(base,), (base + 2,)]
-        pairs2 = [(base, base + 1), (base, base + 3), (base + 1, base + 2)]
-        for states in (pairs1, pairs2):
-            for i, a in enumerate(states):
-                sa = FiniteSystem(L=L, kind=kind, I=a)
-                norm = (2 * L) ** sa.N
-                worst_diag = max(worst_diag,
-                                 abs(orthogonality_check(sa, sa) - norm) / norm)
-                for b in states[i + 1:]:
-                    sb = FiniteSystem(L=L, kind=kind, I=b)
-                    worst_off = max(worst_off, abs(orthogonality_check(sa, sb)) / norm)
+    worst_diag, worst_off = orthogonality_error((
+        (NEUMANN, ((0,), (2,))), (NEUMANN, ((0, 1), (0, 3), (1, 2))),
+        (DIRICHLET, ((1,), (3,))), (DIRICHLET, ((1, 2), (1, 4), (2, 3)))))
     runtime = time.time() - t0
     ok = worst_diag <= 1e-10 and worst_off <= 1e-8 and runtime < 30.0
     assert _report(3, "orthogonality relations", ok,
@@ -326,28 +290,11 @@ def test_criterion_10_static_chain():
 
 def test_criterion_11_structural_symmetries():
     t0 = time.time()
-    p0 = ThermalParams(h=1.0, T=0.0)
-    pT = ThermalParams(h=1.0, T=0.4)
-    # Dirichlet null at the wall
-    nulls = []
-    for p, kwargs in ((p0, dict(D=1.0)), (pT, {})):
-        ev = correlation_ground if p.T == 0 else correlation_thermal
-        vd = ev(PhysicalPoint(0.0, 0.9, 0.4, DIRICHLET, p, **kwargs), n=56,
-                with_error=False).value
-        vn = ev(PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, p, **kwargs), n=56,
-                with_error=False).value
-        nulls.append(abs(vd) / abs(vn))
-    # hermiticity
-    herms = []
-    for p, kwargs in ((p0, dict(D=1.0)), (pT, {})):
-        ev = correlation_ground if p.T == 0 else correlation_thermal
-        a = ev(PhysicalPoint(0.3, 0.9, 0.5, NEUMANN, p, **kwargs), n=72,
-               with_error=False).value
-        b = ev(PhysicalPoint(0.9, 0.3, -0.5, NEUMANN, p, **kwargs), n=72,
-               with_error=False).value
-        herms.append(abs(np.conj(a) - b) / abs(a))
+    # Dirichlet null at the wall and hermiticity, at T = 0 and T = 0.4
+    nulls = [dirichlet_null_ratio(T, n=56) for T in (0.0, 0.4)]
+    herms = [hermiticity_error(0.3, 0.9, 0.5, NEUMANN, T, n=72) for T in (0.0, 0.4)]
     # t-independence of the boundary determinant
-    pt = PhysicalPoint(0.0, 0.9, 0.0, NEUMANN, p0, D=1.0)
+    pt = PhysicalPoint(0.0, 0.9, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
     dets = [boundary_w_det(0.9, t, pt, n=64) for t in (0.0, 0.5, 1.0)]
     det_spread = max(abs(d - dets[0]) for d in dets)
     runtime = time.time() - t0

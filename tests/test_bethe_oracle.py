@@ -15,9 +15,7 @@ from bosefredholm.bethe_oracle import (
     energy,
     finite_L_correlation,
     form_factor,
-    form_factor_direct,
     mode_table,
-    orthogonality_check,
     permutation_identity_check,
     proposition_determinant,
     wave_function,
@@ -29,6 +27,12 @@ from bosefredholm.special_integrals import (
     damped_limit,
     damped_weights,
     richardson_sequence,
+)
+from bosefredholm.validate import (
+    form_factor_error,
+    orthogonality_error,
+    permutation_identity_error,
+    route_equivalence_error,
 )
 
 L = math.pi
@@ -128,26 +132,17 @@ def test_wave_function_batch_equals_scalar_oracle(case):
 @pytest.mark.parametrize("kind,I", [(NEUMANN, (0,)), (NEUMANN, (0, 1)),
                                     (DIRICHLET, (1,)), (DIRICHLET, (1, 3))])
 def test_normalization(kind, I):
-    s = FiniteSystem(L=L, kind=kind, I=I)
-    norm = orthogonality_check(s, s)
-    assert norm == pytest.approx((2 * L) ** s.N, rel=1e-10)
+    diag, _ = orthogonality_error(((kind, (I,)),))
+    assert diag <= 1e-10
 
 
 def test_orthogonality_offdiagonal():
-    for kind, pair in ((NEUMANN, ((0,), (2,))), (DIRICHLET, ((1, 2), (1, 4)))):
-        a = FiniteSystem(L=L, kind=kind, I=pair[0])
-        b = FiniteSystem(L=L, kind=kind, I=pair[1])
-        assert abs(orthogonality_check(a, b)) < 1e-8 * (2 * L) ** a.N
+    _, worst_off = orthogonality_error(((NEUMANN, ((0,), (2,))), (DIRICHLET, ((1, 2), (1, 4)))))
+    assert worst_off < 1e-8
 
 
 def test_permutation_identity_random():
-    rng = np.random.default_rng(42)
-    for N in (1, 2, 3, 4):
-        for _ in range(20):
-            f = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-            g = rng.normal(size=(N + 1, N)) + 1j * rng.normal(size=(N + 1, N))
-            lhs, rhs = permutation_identity_check(N, f, g)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    assert permutation_identity_error(seed=42, orders=(1, 2, 3, 4), draws=20) <= 1e-12
 
 
 def test_permutation_identity_delta_f():
@@ -168,32 +163,21 @@ def test_form_factor_n0():
 
 
 def test_form_factor_vs_direct():
-    rng = np.random.default_rng(9)
-    for kind in (NEUMANN, DIRICHLET):
-        base = 0 if kind.eps > 0 else 1
-        for N in (1, 2):
-            for _ in range(2):
-                ims = tuple(sorted(rng.choice(np.arange(base, base + 6), size=N,
-                                              replace=False)))
-                ils = tuple(sorted(rng.choice(np.arange(base, base + 7), size=N + 1,
-                                              replace=False)))
-                inp = FormFactorInput(I_lam=ils, I_mu=ims,
-                                      x=float(rng.uniform(0.3, 2.7)), kind=kind, L=L)
-                det_val = form_factor(inp)
-                direct = form_factor_direct(inp, n=100 if N == 1 else 64)
-                assert abs(det_val - direct) <= 1e-8 * (1 + abs(direct)), (kind.eps, ils, ims)
+    worst = form_factor_error(seed=9, orders=((1,), (1,), (2,), (2,)), x_max=2.7,
+                              nodes={1: 100, 2: 64})
+    assert worst <= 1e-8
 
 
 def test_route_equivalence_matched_box():
-    for kind in (NEUMANN, DIRICHLET):
-        for N in (0, 1, 2, 3):
-            sys_ = FiniteSystem.ground_state(N, L, kind)
-            for t in (0.0, 0.4):
-                a = finite_L_correlation(sys_, 0.7, 1.9, t, lam_max=40.0,
-                                         damped=False)
-                b = proposition_determinant(sys_, 0.7, 1.9, t, lam_max=40.0,
-                                            mode="matched")
-                assert abs(a - b) <= 1e-10 * (1 + abs(a)), (kind.eps, N, t)
+    worst = route_equivalence_error(orders=(0, 1, 2, 3), times=(0.0, 0.4), lam_max=40.0,
+                                    damped=False)
+    assert worst <= 1e-10
+
+
+def test_proposition_unknown_mode_raises():
+    sys_ = FiniteSystem.ground_state(2, L, NEUMANN)
+    with pytest.raises(ValueError, match="matchd"):
+        proposition_determinant(sys_, 0.7, 1.9, 0.0, lam_max=20.0, mode="matchd")
 
 
 def test_dirichlet_wall_null():
@@ -458,7 +442,4 @@ def test_mode_table_equals_scalar_factors(case):
 @pytest.mark.parametrize("damped", [True, False])
 def test_empty_state_set_is_zero(N, lam_max, t, damped):
     # fewer than N+1 modes below lam_max: no intermediate state, an empty sum
-    sys_ = FiniteSystem.ground_state(N, L, NEUMANN)
-    a = finite_L_correlation(sys_, 0.7, 1.9, t, lam_max=lam_max, damped=damped)
-    b = proposition_determinant(sys_, 0.7, 1.9, t, lam_max=lam_max, mode="matched")
-    assert abs(a - b) <= 1e-10 * (1 + abs(a))
+    assert route_equivalence_error((N,), (t,), lam_max, damped) <= 1e-10

@@ -245,13 +245,38 @@ def test_knobs_affect_output(tmp_path):
     assert vals["n10"] != vals["n12"]
 
 
-def test_oracle_command(tmp_path):
-    out = tmp_path / "o.json"
-    code = main(["oracle", "--output", str(out)])
-    report = json.loads(out.read_text())
-    assert code == 0
-    assert report["passed"] is True
-    assert {c["name"] for c in report["checks"]}
+def test_oracle_command():
+    # the quick and full oracle and the whole validate suite pass every check
+    for argv in (["oracle"], ["oracle", "--full"], ["validate", "--suite", "all"]):
+        code, out = run_cli(argv)
+        report = json.loads(out)
+        assert code == 0 and report["passed"] is True, argv
+        assert report["checks"] and all(c["passed"] for c in report["checks"])
+
+
+# a check fails when its subject moves by 1e-6 relative: by a real factor, a
+# complex one (conjugation symmetry) or one odd in lam (reflection identity)
+PERTURBATIONS = (
+    ("form_factor", "oracle --full", "form-factors", lambda *a: 1 + 1e-6),
+    ("finite_L_correlation", "oracle --full", "routes", lambda *a: 1 + 1e-6),
+    ("orthogonality_check", "oracle", "orthogonality", lambda *a: 1 + 1e-6),
+    ("gaussian_fresnel", "validate", "gaussian", lambda *a: 1 + 1e-6),
+    ("kernel_theta", "validate", "theta", lambda *a: 1 + 1e-6),
+    ("pv_fresnel_hilbert", "validate", "conjugation", lambda *a: 1 + 1e-6j),
+    ("kernel_L", "validate", "reflection", lambda lam, *a: 1 + 1e-6 * lam),
+)
+
+
+@pytest.mark.parametrize("subject,argv,check,factor", PERTURBATIONS,
+                         ids=[case[0] for case in PERTURBATIONS])
+def test_suite_check_fails_on_perturbed_subject(monkeypatch, subject, argv, check, factor):
+    import bosefredholm.validate as validate
+
+    f = getattr(validate, subject)
+    monkeypatch.setattr(validate, subject, lambda *a, **k: f(*a, **k) * factor(*a))
+    code, out = run_cli(argv.split())
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert code == 2 and passed[validate.CHECKS[check][0]] is False
 
 
 def test_entry_point_subprocess():

@@ -19,12 +19,17 @@ from bosefredholm.fredholm import (
     fredholm_minor_first,
 )
 from bosefredholm.kernels import DIRICHLET, NEUMANN, ThermalParams, kernel_theta, step_weight
+from bosefredholm.validate import (
+    density_limit_error,
+    dirichlet_null_ratio,
+    hermiticity_error,
+    static_dynamic_error,
+)
 
 
 def test_density_examples():
     # T -> 0 limit: sqrt(h)/pi
-    d = density_of_temperature(ThermalParams(h=1.0, T=1e-4))
-    assert abs(d - 1.0 / math.pi) < 1e-3
+    assert density_limit_error(1e-4) < 1e-3
     assert density_of_temperature(ThermalParams(h=1.0, T=0.0)) == pytest.approx(1 / math.pi)
     # node-doubling stable
     d1 = density_of_temperature(ThermalParams(h=1.0, T=1.0), n=200)
@@ -40,36 +45,12 @@ def test_physical_point_validation():
 
 
 def test_dirichlet_wall_null_ground_and_thermal():
-    p0 = ThermalParams(h=1.0, T=0.0)
-    ptd = PhysicalPoint(0.0, 0.9, 0.4, DIRICHLET, p0, D=1.0)
-    ptn = PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, p0, D=1.0)
-    vd = correlation_ground(ptd, n=48, with_error=False).value
-    vn = correlation_ground(ptn, n=48, with_error=False).value
-    assert abs(vd) <= 1e-10 * abs(vn)
-    pT = ThermalParams(h=1.0, T=0.4)
-    vd = correlation_thermal(PhysicalPoint(0.0, 0.9, 0.4, DIRICHLET, pT),
-                             n=64, with_error=False).value
-    vn = correlation_thermal(PhysicalPoint(0.0, 0.9, 0.4, NEUMANN, pT),
-                             n=64, with_error=False).value
-    assert abs(vd) <= 1e-10 * abs(vn)
-
-
-def test_hermiticity_ground():
-    p0 = ThermalParams(h=1.0, T=0.0)
-    a = correlation_ground(PhysicalPoint(0.3, 0.9, 0.5, NEUMANN, p0, D=1.0),
-                           n=56, with_error=False).value
-    b = correlation_ground(PhysicalPoint(0.9, 0.3, -0.5, NEUMANN, p0, D=1.0),
-                           n=56, with_error=False).value
-    assert abs(np.conj(a) - b) <= 1e-8 * abs(a)
+    assert dirichlet_null_ratio(T=0.0, n=48) <= 1e-10
+    assert dirichlet_null_ratio(T=0.4, n=64) <= 1e-10
 
 
 def test_hermiticity_thermal():
-    pT = ThermalParams(h=1.0, T=0.6)
-    a = correlation_thermal(PhysicalPoint(0.4, 1.0, 0.3, DIRICHLET, pT),
-                            n=80, with_error=False).value
-    b = correlation_thermal(PhysicalPoint(1.0, 0.4, -0.3, DIRICHLET, pT),
-                            n=80, with_error=False).value
-    assert abs(np.conj(a) - b) <= 1e-8 * abs(a)
+    assert hermiticity_error(0.4, 1.0, 0.3, DIRICHLET, T=0.6, n=80) <= 1e-8
 
 
 def test_result_parts_recompose():
@@ -115,10 +96,7 @@ def test_static_symmetry_and_match():
         correlation_static(1.1, 0.4, NEUMANN, p, n=64))
     # equals the dynamical evaluator at t = 0 (both boundary kinds)
     for kind in (NEUMANN, DIRICHLET):
-        pt = PhysicalPoint(0.4, 1.1, 0.0, kind, p)
-        a = correlation_thermal(pt, n=110, with_error=False).value
-        b = correlation_static(0.4, 1.1, kind, p, n=90)
-        assert abs(a - b) <= 1e-9 * abs(a), kind.eps
+        assert static_dynamic_error(kind, n_dynamic=110, n_static=90) <= 1e-9, kind.eps
 
 
 def test_static_coincident_point():

@@ -23,6 +23,7 @@ from bosefredholm.kernels import (
 )
 from bosefredholm.fredholm import thermal_cut
 from bosefredholm.special_integrals import gauss_panels, pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
+from bosefredholm.validate import kernel_reflection_error, theta_static_error
 
 
 def test_fermi_weight_examples():
@@ -54,12 +55,8 @@ def test_kernel_L_x1_zero_form():
 
 
 def test_kernel_L_reflection_identity():
-    rng = np.random.default_rng(2)
-    for x1, x2, t in ((0.4, 1.1, 0.6), (0.9, 0.3, -0.4), (1.5, 1.5, 1.0)):
-        g = GeometryParams(x1, x2, t)
-        for _ in range(20):
-            lam, mu = rng.uniform(-2.5, 2.5, size=2)
-            assert abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g)) < 1e-10
+    geometries = ((0.4, 1.1, 0.6), (0.9, 0.3, -0.4), (1.5, 1.5, 1.0))
+    assert kernel_reflection_error(seed=2, draws=20, geometries=geometries) < 1e-10
 
 
 def test_kernel_L_t0_closed_form():
@@ -275,14 +272,7 @@ def test_kernel_theta_symmetry_and_t0():
 
 
 def test_kernel_theta_t0_equals_static():
-    p0 = ThermalParams(h=1.44, T=0.0)
-    grid = np.linspace(0.0, 2.5, 12)
-    for kind in (NEUMANN, DIRICHLET):
-        for xi in grid:
-            for eta in grid:
-                a = kernel_theta(xi, eta, kind, p0)
-                b = kernel_K_static(xi, eta, kind, 1.2)
-                assert abs(a - b) < 1e-10
+    assert theta_static_error(1.44, np.linspace(0.0, 2.5, 12)) < 1e-10
 
 
 def kernel_theta_mesh(xi, eta, kind, p, n_panels=60):

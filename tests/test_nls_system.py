@@ -24,6 +24,7 @@ from bosefredholm.nls_system import (
     LINE_PHASE_PER_PANEL,
     AuxField,
     FourPointConfig,
+    LineGrid,
     P_MATRICES,
     _LineSamples,
     adapt_policy,
@@ -366,7 +367,8 @@ def test_line_grid_node_doubling(cfg, T):
                                       phase_per_panel=LINE_PHASE_PER_PANEL / 2.0,
                                       chirps=line_chirps(cfg))
     assert len(nodes) > len(grid.nodes)
-    fine = (nodes, damped_weights(nodes, weights, LAX_POLICY.deltas))
+    fine = LineGrid(nodes, damped_weights(nodes, weights, LAX_POLICY.deltas),
+                    LAX_POLICY.deltas)
     b = build_b(cfg, _point(T), n=12, line_grid=grid).b
     b_fine = build_b(cfg, _point(T), n=12, line_grid=fine).b
     assert np.max(np.abs(b - b_fine)) <= 1e-10 * np.max(np.abs(b_fine))
@@ -430,7 +432,7 @@ _ORACLE_POLICY = RegularizationPolicy(damping=0.5)
 def test_damped_integrals_equal_mesh_oracle(data, cfg):
     grid = build_line_grid(cfg, _ORACLE_POLICY)
     lam = data.draw(_lam_near_nodes(grid.nodes))
-    got = _LineSamples(cfg, *grid).integrals(lam)
+    got = _LineSamples(cfg, grid).integrals(lam)
     ref = _damped_integrals_oracle(cfg, lam, grid.nodes, grid.damped)
     for g, r in zip(got, ref):
         assert g.shape == r.shape

@@ -12,7 +12,6 @@ from bosefredholm.special_integrals import (
     DEFAULT_POLICY,
     RegularizationPolicy,
     damped_limit,
-    damped_line_integral,
     damped_weights,
     fresnel_kink_integral,
     fresnel_sine_transform,
@@ -25,6 +24,11 @@ from bosefredholm.special_integrals import (
     regularized_lattice_sum,
     richardson_sequence,
     tau,
+)
+from bosefredholm.validate import (
+    gaussian_fresnel_error,
+    hilbert_conjugation_error,
+    hilbert_quadrature_error,
 )
 
 ORACLE_POLICY = RegularizationPolicy(damping=1e-2, extrapolation_orders=5)
@@ -58,16 +62,9 @@ def test_gaussian_fresnel_vs_damped_quadrature_lattice():
     rng = np.random.default_rng(0)
     xs = rng.uniform(0.0, 3.0, size=10)
     ts = np.concatenate([rng.uniform(0.3, 1.5, size=5), -rng.uniform(0.3, 1.5, size=5)])
-    checked = 0
-    for x in xs:
-        for t in ts:
-            closed = gaussian_fresnel(x, t)
-            damped = damped_line_integral(
-                lambda s: np.exp(1j * t * s * s - 1j * x * s) / (2 * math.pi),
-                ORACLE_POLICY, phase_scale=abs(t))
-            assert abs(closed - damped) <= 1e-8 * (1 + abs(closed)), (x, t)
-            checked += 1
-    assert checked >= 100
+    points = [(x, t) for x in xs for t in ts]
+    assert len(points) >= 100
+    assert gaussian_fresnel_error(points, ORACLE_POLICY) <= 1e-8
 
 
 def test_pv_hilbert_trivial_values():
@@ -78,27 +75,13 @@ def test_pv_hilbert_trivial_values():
 
 
 def test_pv_hilbert_conjugation():
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        lam, y, t = rng.uniform(-2.5, 2.5, size=3)
-        a = np.conj(pv_fresnel_hilbert(lam, y, t))
-        b = pv_fresnel_hilbert(lam, -y, -t)
-        assert abs(a - b) < 1e-10
+    assert hilbert_conjugation_error(seed=1, draws=40, span=2.5) < 1e-10
 
 
 def test_pv_hilbert_vs_quadrature_oracle():
-    # damped PV quadrature with the window sized to the smallest damping,
-    # panels resolving the quadratic phase, Richardson over three deltas
-    for lam, y, t in ((0.7, 0.4, 1.0), (-1.2, 0.8, -0.5), (0.3, -2.2, 0.9)):
-        deltas = (1e-2, 5e-3, 2.5e-3)
-        window = math.sqrt(40.0 / deltas[-1]) + abs(lam)
-        n_panels = int(window * (2 * abs(t) * window + abs(y) + 2) / 3.0)
-        vals = [pv_quadrature(
-            lambda s, dd=dd: np.exp(1j * t * s * s - 1j * y * s - dd * s * s),
-            lam, window=window, n_panels=n_panels) for dd in deltas]
-        orc, _ = richardson_sequence(vals)
-        closed = pv_fresnel_hilbert(lam, y, t)
-        assert abs(closed - orc) < 5e-6 * (1 + abs(closed)), (lam, y, t)
+    # damped PV quadrature, Richardson over the deltas 1e-2, 5e-3, 2.5e-3
+    points = ((0.7, 0.4, 1.0), (-1.2, 0.8, -0.5), (0.3, -2.2, 0.9))
+    assert hilbert_quadrature_error(points, DEFAULT_POLICY) < 5e-6
 
 
 def test_pv_quadrature_trivial():
