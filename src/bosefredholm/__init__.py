@@ -9,6 +9,7 @@ from .errors import (
     ExtrapolationWarning,
     InvalidGrid,
     InvalidIntegrand,
+    InvalidParameter,
     InvalidState,
     NumericalFailure,
     SingularOperator,

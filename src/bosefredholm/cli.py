@@ -260,9 +260,10 @@ def cmd_density(args):
     results = []
     for T in parse_range(args.T):
         for h in parse_range(args.h):
+            thermal = ThermalParams(h=h, T=T)    # an invalid one is a configuration error
+
             def compute():
-                d = density_of_temperature(ThermalParams(h=h, T=T), n=args.n)
-                return _value_only(d, args.n)
+                return _value_only(density_of_temperature(thermal, n=args.n), args.n)
 
             rec, exc = _point_record((0.0, 0.0, 0.0, T, h, float("nan"), "+"), args.n, "",
                                      compute)
@@ -293,8 +294,8 @@ def cmd_kernel_dump(args):
 
 
 def cmd_lax_check(args):
-    from .nls_system import (FourPointConfig, build_b, build_line_grid,
-                             lax_compatibility_residual)
+    from .nls_system import (FourPointConfig, _closed_form, adapt_policy, build_b,
+                             build_line_grid, lax_compatibility_residual)
 
     thermal = ThermalParams(h=args.h, T=args.T)
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, thermal, D=args.D if args.T == 0 else 0.0)
@@ -304,7 +305,11 @@ def cmd_lax_check(args):
     res_big = lax_compatibility_residual(cfg, pt, step=args.step, n=args.n, line_grid=stencil)
     res_small = lax_compatibility_residual(cfg, pt, step=args.step / 2.0, n=args.n,
                                            line_grid=stencil)
-    mats = build_b(cfg, pt, n=args.n, policy=policy)
+    # the final b integrates on the stencil grid when it would build that
+    # same grid (an unadapted policy, no closed form): the grid's G samples
+    # and reciprocal mesh then serve it too
+    same_grid = adapt_policy(cfg, policy) == policy and not _closed_form(cfg, None)
+    mats = build_b(cfg, pt, n=args.n, policy=policy, line_grid=stencil if same_grid else None)
     payload = {
         "config": {"y": list(args.y), "t": list(args.tt), "T": args.T, "h": args.h, "D": args.D},
         "step": args.step,

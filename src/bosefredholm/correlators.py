@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import InvalidGrid, InvalidParameter
 from .fredholm import (
     DiscretizedOperator,
     RankOnePerturbation,
@@ -52,9 +52,9 @@ class PhysicalPoint:
 
     def __post_init__(self):
         if self.x1 < 0 or self.x2 < 0:
-            raise ValueError("positions must be nonnegative")
+            raise InvalidParameter("positions must be nonnegative")
         if self.thermal.T == 0.0 and self.D <= 0.0:
-            raise ValueError("T = 0 requires a positive density D")
+            raise InvalidParameter("T = 0 requires a positive density D")
 
     @property
     def q(self):

@@ -36,6 +36,11 @@ class SingularOperator(BoseFredholmError):
     """Resolvent system is singular or too ill-conditioned to trust."""
 
 
+class InvalidParameter(BoseFredholmError, ValueError):
+    """A parameter is outside its domain (a negative position, T = 0 without
+    a positive density...): a configuration error."""
+
+
 class InvalidState(BoseFredholmError):
     """Finite-size Bethe state specification is invalid (duplicate quantum numbers...)."""
 

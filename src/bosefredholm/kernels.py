@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .fredholm import thermal_cut
 from .special_integrals import (
     fresnel_kink_integral,
@@ -44,9 +45,9 @@ class ThermalParams:
 
     def __post_init__(self):
         if self.h <= 0:
-            raise ValueError("chemical potential h must be positive")
+            raise InvalidParameter("chemical potential h must be positive")
         if self.T < 0:
-            raise ValueError("temperature T must be nonnegative")
+            raise InvalidParameter("temperature T must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class GeometryParams:
 
     def __post_init__(self):
         if self.x1 < 0 or self.x2 < 0:
-            raise ValueError("positions must be nonnegative")
+            raise InvalidParameter("positions must be nonnegative")
 
 
 def fermi_weight(lam, p):
@@ -267,10 +268,3 @@ def kernel_K_static(xi, eta, kind, momentum):
     out = (_sinc(momentum, np.asarray(xi) - np.asarray(eta))
            + kind.eps * _sinc(momentum, np.asarray(xi) + np.asarray(eta)))
     return out if np.ndim(out) else float(out)
-
-
-def step_weight(y1, y2, xip):
-    """E(y1 - xi') + E(y2 - xi') with the step E(0) = 1 convention."""
-    xip = np.asarray(xip, dtype=float)
-    out = (y1 - xip >= 0).astype(int) + (y2 - xip >= 0).astype(int)
-    return out if np.ndim(out) else int(out)

@@ -201,12 +201,44 @@ LINE_BASE_WIDTH = 0.5
 LINE_PHASE_PER_PANEL = 16.0
 
 
-class LineGrid(NamedTuple):
-    """Nodes, damped-weight matrix and damping deltas of a line grid."""
-
+class _LineGridArrays(NamedTuple):
     nodes: np.ndarray
     damped: np.ndarray
     deltas: tuple
+
+
+class LineGrid(_LineGridArrays):
+    """Nodes, damped-weight matrix and damping deltas of a line grid.
+
+    The grid also keeps what depends on it and on one pair alone, so every
+    build_b on it (the stencil of lax_compatibility_residual) shares it: G_p
+    sampled on the nodes, by the pair's exact (dy, dt, coincident_sign),
+    and the ReciprocalMesh of the last spectral node block against the
+    nodes.  Both live as long as the grid object, which holds one node
+    vector per distinct pair it has seen; the shared samples are read-only.
+    """
+
+    def __init__(self, nodes, damped, deltas):
+        self._hilbert = {}
+        self._mesh = None
+
+    def hilbert(self, aux):
+        """G_p of the pair aux on the nodes; the key is all that
+        AuxField.hilbert reads."""
+        key = (aux.dy, aux.dt, aux.coincident_sign)
+        if key not in self._hilbert:
+            g = aux.hilbert(self.nodes)
+            g.flags.writeable = False
+            self._hilbert[key] = g
+        return self._hilbert[key]
+
+    def reciprocal_mesh(self, block):
+        """ReciprocalMesh of the spectral nodes block (shape (m, 1)) against
+        the nodes; kept until another block is asked for."""
+        if self._mesh is None or not np.array_equal(self._mesh[0], block):
+            self._mesh = None                  # one (m, ns) mesh alive at a time
+            self._mesh = (np.array(block), ReciprocalMesh(block, self.nodes[None, :]))
+        return self._mesh[1]
 
 
 def line_chirps(cfg):
@@ -234,11 +266,11 @@ def _damped_integrals(a1, a2, lam, line):
     """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
     cross integral of the M-hat diagonal (n) on the damped line grid.
 
-    One reciprocal mesh 1/(lam - s) per block of lam serves both difference
-    quotients; the s-dependent phases and vector components sit in the
-    weight columns of the line samples, and the lam-dependent phases
-    multiply the n results.  A coincident pair's K_p vanishes and is
-    skipped.
+    One reciprocal mesh 1/(lam - s) per block of lam, kept by the line grid
+    for every build_b on it, serves both difference quotients; the
+    s-dependent phases and vector components sit in the weight columns of
+    the line samples, and the lam-dependent phases multiply the n results.
+    A coincident pair's K_p vanishes and is skipped.
     """
     g1S, g2S = line.g
     n = len(lam)
@@ -250,7 +282,7 @@ def _damped_integrals(a1, a2, lam, line):
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         block, S = lam[lo:hi, None], line.nodes[None, :]
-        mesh = ReciprocalMesh(block, S)
+        mesh = line.grid.reciprocal_mesh(block)
         dq1 = dq2 = None
         if not a1.coincident:
             dq1 = a1.hilbert_diffquot(block, S, g1lam[lo:hi, None], g1S[None, :], mesh)
@@ -261,21 +293,23 @@ def _damped_integrals(a1, a2, lam, line):
         if dq1 is not None and dq2 is not None:
             dq1 *= dq2
             sums_X[lo:hi] = damped_limit(dq1, line.weights_X)
-        del mesh, dq1, dq2   # one set of (block, ns) arrays alive at a time: peak memory
+        del dq1, dq2   # one set of (block, ns) arrays alive at a time: peak memory
     row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
     return (row1 * sums_L).T, col2 * sums_R, row1 * col2 * sums_X
 
 
 class _LineSamples:
     """A line grid with what the whole-line integrals of one configuration
-    sample on its nodes, once for all of build_b: G_1 and G_2, the phase
-    col_1 row_2, the weight columns, and the integrals on one lam grid."""
+    sample on its nodes, once for all of build_b: G_1 and G_2 (from the
+    grid, which keeps them for every configuration with the same pair), the
+    phase col_1 row_2, the weight columns, and the integrals on one lam
+    grid."""
 
     def __init__(self, cfg, line_grid):
         nodes, damped = line_grid.nodes, line_grid.damped
-        self.nodes, self.deltas = nodes, line_grid.deltas
+        self.grid, self.nodes, self.deltas = line_grid, nodes, line_grid.deltas
         a1, a2 = self.aux = build_aux_fields(cfg)
-        self.g = g1, g2 = a1.hilbert(nodes), a2.hilbert(nodes)
+        self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
         m = a1.col_phase(nodes) * a2.row_phase(nodes)
         # weight columns v(s) * damped: damped_limit(dq, v[:, None] * damped)
         # is the damped integral of dq * v
@@ -489,7 +523,8 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     whole-line integral is a closed form and no line grid is built.
     Otherwise the integrals are damped on the given LineGrid, or on the grid
     built for cfg under adapt_policy(cfg, policy), with G_1 and G_2 sampled
-    on it once; the result reports that grid's node count and deltas.
+    on it at most once per grid (LineGrid.hilbert); the result reports that
+    grid's node count and deltas.
     """
     quad, weight_fn = _spectral_grid(ensemble, n)
     if not _closed_form(cfg, line_grid):
@@ -533,8 +568,10 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None,
     Derivatives of b are three-point central differences with the given
     step; all stencil evaluations share one line grid, built once under the
     policy as given (not adapted), so the quadrature bias differentiates
-    smoothly.  Returns a (4, 4) array of per-(j,k)
-    residual norms, maximized over mu values.
+    smoothly.  A shift moves one pair's (dy, dt), so the grid's G samples of
+    the other pair, and its reciprocal mesh, serve the whole stencil.
+    Returns a (4, 4) array of per-(j,k) residual norms, maximized over mu
+    values.
     """
     policy = policy or FINE_POLICY
     if line_grid is None:

@@ -1,5 +1,5 @@
-"""Gaussian-Fresnel integrals, principal-value Hilbert transforms, and
-regularized lattice sums.
+"""Gaussian-Fresnel integrals, principal-value Hilbert transforms, and the
+damped quadrature of whole-line integrals.
 
 Everything oscillatory is defined through Gaussian damping exp(-delta*s^2)
 with Richardson extrapolation delta -> 0.  Closed forms (complex error
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConvergenceFailure, DegenerateDelta, InvalidIntegrand
+from .errors import ConvergenceFailure, DegenerateDelta, InvalidIntegrand, InvalidParameter
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -32,9 +32,9 @@ class RegularizationPolicy:
 
     def __post_init__(self):
         if self.damping <= 0:
-            raise ValueError("damping must be positive")
+            raise InvalidParameter("damping must be positive")
         if self.extrapolation_orders < 1:
-            raise ValueError("extrapolation_orders must be >= 1")
+            raise InvalidParameter("extrapolation_orders must be >= 1")
 
     @property
     def deltas(self):
@@ -289,23 +289,3 @@ def pv_quadrature(f, lam, policy=DEFAULT_POLICY, window=None, n_panels=600):
     nodes, weights = gauss_panels(lam - window, lam + window, n_panels)
     vals = np.asarray(f(nodes))
     return ((vals - flam[..., None]) / (nodes - lam)) @ weights
-
-
-def regularized_lattice_sum(g, L, lattice="Z", policy=DEFAULT_POLICY, check=True):
-    """(pi/L) * sum of g(s) exp(-delta s^2) over the momentum lattice,
-    extrapolated delta -> 0 and truncated at |s| <= policy.tail_cut.
-
-    lattice "Z" sums s in (pi/L)*Z, "N" sums s in (pi/L)*{0,1,2,...}.
-    """
-    if L <= 0:
-        raise ValueError("box size L must be positive")
-    h = math.pi / L
-    n_max = int(policy.tail_cut / h)
-    if lattice == "Z":
-        s = h * np.arange(-n_max, n_max + 1)
-    elif lattice == "N":
-        s = h * np.arange(0, n_max + 1)
-    else:
-        raise ValueError("lattice must be 'Z' or 'N'")
-    damped = damped_weights(s, np.full(len(s), h), policy.deltas)
-    return damped_limit(g(s), damped, rtol=1e-10 if check else None)

@@ -363,3 +363,50 @@ def test_lax_check_reports_its_line_grids(tmp_path):
     assert grids["final"] == {"nodes": len(build_line_grid(cfg, adapted).nodes),
                               "deltas": list(adapted.deltas)}
     assert grids["final"]["nodes"] > grids["stencil"]["nodes"]
+
+
+@pytest.mark.parametrize("y,tt,damping,grids", [
+    # every |dy| / (2 |dt|) is small: the final b runs on the stencil grid
+    ((-0.06, 0.06, 0.0, 0.15), (0.025, 0.1, -0.05, 0.175), 2e-2, 1),
+    # adapt_policy lowers the damping: the final b builds a grid of its own
+    ((0.15, 0.45, -0.35, 0.8), (0.1, 0.32, -0.2, 0.55), 0.5, 2),
+])
+def test_lax_check_final_b_shares_the_stencil_grid(tmp_path, monkeypatch, y, tt, damping, grids):
+    import numpy as np
+    import bosefredholm.nls_system as nls
+    from bosefredholm.correlators import PhysicalPoint
+    from bosefredholm.kernels import NEUMANN, ThermalParams
+    from bosefredholm.special_integrals import RegularizationPolicy
+    original, calls = nls.graded_line_grid, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nls, "graded_line_grid", counting)
+    out = tmp_path / "lax.json"
+    code = main(["lax-check", "--y", *map(str, y), "--tt", *map(str, tt), "--n", "8",
+                 "--damping", str(damping), "--orders", "3", "--output", str(out)])
+    assert code == 0
+    assert len(calls) == grids
+    # b is the b of the same configuration on a grid of its own
+    pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=0.7)
+    b = nls.build_b(nls.FourPointConfig(y=y, t=tt), pt, n=8,
+                    policy=RegularizationPolicy(damping=damping)).b
+    data = json.loads(out.read_text())
+    assert np.array_equal(np.array(data["b_re"]) + 1j * np.array(data["b_im"]), b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--eps", "+", "--x1", "0.3", "--x2", "0.5", "--t", "0"],
+    ["boundary", "--x", "0.5", "--t", "0.3"],
+    ["lax-check", "--D", "0"],
+])
+def test_invalid_point_is_a_one_line_configuration_error(capsys, argv):
+    # T = 0 without a positive density D
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err

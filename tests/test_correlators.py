@@ -18,7 +18,7 @@ from bosefredholm.fredholm import (
     build_grid,
     fredholm_minor_first,
 )
-from bosefredholm.kernels import DIRICHLET, NEUMANN, ThermalParams, kernel_theta, step_weight
+from bosefredholm.kernels import DIRICHLET, NEUMANN, ThermalParams, kernel_theta
 from bosefredholm.validate import (
     density_limit_error,
     dirichlet_null_ratio,
@@ -115,6 +115,22 @@ def _theta_minor(quad, x1, x2, kind, p, weight_fn=None):
 def minor_symmetric_interval_form(x1, x2, kind, p, n=64):
     """(1/2) * minor with the operator over [-x1, x2] (alternate path)."""
     return _theta_minor(build_grid((-x1, x2), n), x1, x2, kind, p)
+
+
+def step_weight(y1, y2, xip):
+    """E(y1 - xi') + E(y2 - xi') with the step E(0) = 1 convention."""
+    xip = np.asarray(xip, dtype=float)
+    out = (y1 - xip >= 0).astype(int) + (y2 - xip >= 0).astype(int)
+    return out if np.ndim(out) else int(out)
+
+
+def test_step_weight():
+    assert step_weight(0.5, 1.0, 0.2) == 2
+    assert step_weight(0.5, 1.0, 1.5) == 0
+    assert step_weight(0.5, 1.0, 0.5) == 2   # E(0) = 1
+    assert step_weight(0.5, 1.0, 0.7) == 1
+    arr = step_weight(0.5, 1.0, np.array([0.2, 0.7, 1.5]))
+    assert list(arr) == [2, 1, 0]
 
 
 def minor_step_weight_form(x1, x2, kind, p, n=64):

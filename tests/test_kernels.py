@@ -19,7 +19,6 @@ from bosefredholm.kernels import (
     kernel_V,
     kernel_W,
     rank_one_factors,
-    step_weight,
 )
 from bosefredholm.fredholm import thermal_cut
 from bosefredholm.special_integrals import gauss_panels, pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
@@ -337,12 +336,3 @@ def test_kernel_K_static_diag_limit():
     e2 = kernel_K_static(xi, xi + 2e-6, kind, q)
     assert abs(direct - (2 * e1 - e2)) < 1e-8
     assert abs(kernel_K_static(0.4, 1.0, kind, 1e-9)) < 1e-8
-
-
-def test_step_weight():
-    assert step_weight(0.5, 1.0, 0.2) == 2
-    assert step_weight(0.5, 1.0, 1.5) == 0
-    assert step_weight(0.5, 1.0, 0.5) == 2   # E(0) = 1
-    assert step_weight(0.5, 1.0, 0.7) == 1
-    arr = step_weight(0.5, 1.0, np.array([0.2, 0.7, 1.5]))
-    assert list(arr) == [2, 1, 0]

