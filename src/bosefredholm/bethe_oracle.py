@@ -61,12 +61,6 @@ def bethe_momenta(sys):
     return math.pi * np.asarray(sys.I, dtype=float) / sys.L
 
 
-def energy(lams, h):
-    """sum of (lam_j^2 - h)."""
-    lams = np.asarray(lams, dtype=float)
-    return float(np.sum(lams * lams) - h * len(lams))
-
-
 def wave_function(z, sys):
     """Normalized N-particle wave function at coordinates z of shape (..., N).
 

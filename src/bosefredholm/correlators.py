@@ -24,12 +24,11 @@ from .kernels import (
     BoundaryKind,
     GeometryParams,
     ThermalParams,
+    dynamical_nystrom,
     fermi_weight,
     kernel_K_static,
     kernel_theta,
-    kernel_V,
     kernel_W,
-    rank_one_factors,
 )
 from .special_integrals import gaussian_fresnel
 
@@ -87,14 +86,10 @@ def density_of_temperature(p, n=400):
 
 
 def _assemble(pt, quad, weight_fn):
-    geom = GeometryParams(pt.x1, pt.x2, pt.t)
-    op = DiscretizedOperator.from_kernel(
-        lambda a, b: kernel_V(a, b, pt.kind, geom), quad, 2.0 / math.pi,
-        weight_fn=weight_fn)
-    f, g = rank_one_factors(pt.kind, geom)
-    pert = RankOnePerturbation(f_values=np.asarray(f(quad.nodes), dtype=complex),
-                               g_values=np.asarray(g(quad.nodes), dtype=complex),
-                               sign=pt.kind.eps)
+    mat, f, g = dynamical_nystrom(quad.nodes, pt.kind, GeometryParams(pt.x1, pt.x2, pt.t))
+    op = DiscretizedOperator(quadrature=quad, matrix=mat, scale=2.0 / math.pi,
+                             weight_fn=weight_fn)
+    pert = RankOnePerturbation(f_values=f, g_values=g, sign=pt.kind.eps)
     det, deriv = det_with_rank_one_derivative(op, pert)
     eps = pt.kind.eps
     # DegenerateDelta propagates at coincident equal-time points
@@ -121,7 +116,7 @@ def _correlation(pt, n, with_error, build):
 def correlation_ground(pt, n=64, with_error=True):
     """Ground-state dynamical correlator (T = 0, Fermi sphere [0, pi*D])."""
     if pt.thermal.T != 0.0:
-        raise ValueError("correlation_ground requires T = 0")
+        raise InvalidParameter("correlation_ground requires T = 0")
 
     def build(m):
         quad = build_grid((0.0, pt.q), m)
@@ -186,7 +181,7 @@ def correlation_boundary_neumann(x, t, pt, n=64, n_spectral=None, w_det=None):
     from .nls_system import FourPointConfig, build_b
 
     if pt.kind.eps != 1:
-        raise ValueError("boundary route is Neumann-only")
+        raise InvalidParameter("boundary route is Neumann-only")
     det = boundary_w_det(x, t, pt, n=n) if w_det is None else w_det
     cfg = FourPointConfig.correlation(0.0, x, t)
     mats = build_b(cfg, ensemble=pt, n=n_spectral or n)
@@ -220,7 +215,7 @@ def static_ground_K(x1, x2, kind, momentum, n=64):
     if not (0 <= x1 <= x2):
         raise InvalidGrid("need 0 <= x1 <= x2")
     if momentum <= 0:
-        raise ValueError("momentum must be positive")
+        raise InvalidParameter("momentum must be positive")
     if x2 - x1 < 1e-12:
         return complex(-(1.0 / math.pi) * kernel_K_static(x2, x1, kind, momentum))
     quad = build_grid((x1, x2), n)

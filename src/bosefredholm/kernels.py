@@ -3,7 +3,9 @@
 All kernels are expressed through the closed-form Gaussian-Fresnel
 primitives of special_integrals and broadcast over their arguments, so a
 Nystrom matrix is one call on an (n, 1) x (1, n) mesh; diagonals are
-analytic limits.
+analytic limits.  The dynamical route's matrix and rank-one factors come
+from dynamical_nystrom: one Hilbert table and one separable product, with
+the broadcast kernel_L recipe kept for the entries near lam = +-mu.
 """
 
 import math
@@ -86,21 +88,29 @@ def _sinc(x, u):
     return out if np.ndim(out) else float(out)
 
 
+def _hilbert_shifts(x1, x2):
+    """The shifts y of the four Gaussian Hilbert terms H(., y) of kernel_L,
+    in _pv_terms order; the rank-one factors read H at the same four."""
+    return np.array([x2 - x1, x1 - x2, -x1 - x2, x1 + x2])
+
+
 def _pv_terms(lam, mu, x1, x2):
-    """(sign, X, e^{i phi}) of the four Gaussian Hilbert terms of kernel_L.
+    """(sign, e^{i a(lam)}, e^{i b(mu)}) of the four Gaussian Hilbert terms
+    of kernel_L, in the order of _hilbert_shifts.
 
     PV int (1/(s-mu) - 1/(s-lam)) e^{its^2} sin((s-mu)x1) sin((s-lam)x2) ds,
     via sinA sinB = (e^{i(A-B)} + e^{-i(A-B)} - e^{i(A+B)} - e^{-i(A+B)})/4,
-    is the sum of sign/4 e^{i phi} (H(mu, -X) - H(lam, -X)).  Each phase
-    phi = +-x1 mu +- x2 lam separates, so e^{i phi} is a product of the
-    node-vector exponentials e^{i x2 lam} and e^{i x1 mu} or their conjugates.
+    is the sum over k of sign/4 e^{i a(lam)} e^{i b(mu)} (H(mu, y_k) -
+    H(lam, y_k)).  Each phase a(lam) + b(mu) = +-x2 lam +- x1 mu separates,
+    so its factors are the node-vector exponentials e^{i x2 lam} and
+    e^{i x1 mu} or their conjugates.
     """
     el = np.exp(1j * x2 * lam)
     em = np.exp(1j * x1 * mu)
-    return ((+1.0, x1 - x2, el * em.conj()),
-            (+1.0, x2 - x1, el.conj() * em),
-            (-1.0, x1 + x2, el.conj() * em.conj()),
-            (-1.0, -x1 - x2, el * em))
+    return ((+1.0, el, em.conj()),
+            (+1.0, el.conj(), em),
+            (-1.0, el.conj(), em.conj()),
+            (-1.0, el, em))
 
 
 def kernel_L(lam, mu, g):
@@ -110,44 +120,56 @@ def kernel_L(lam, mu, g):
     two sines) into four Gaussian Hilbert transforms.  lam and mu enter each
     of them separately, so pv_fresnel_hilbert runs once on each of the lam
     and mu arrays, broadcast over the four shifts: an (n, 1) x (1, n) mesh
-    costs 8n points, not n^2 per term.  The phases and the gauge factor
-    exp(-it(lam^2 + mu^2)/2) are products of node-vector exponentials too.
-    At t = 0 the damped regularization collapses to
-    [sin(xmax*d) - sin(xmin*d)]/d, d = lam - mu.  Entries with
-    |d| < 1e-12 take the analytic diagonal kernel_L_diag; for t != 0,
-    entries with 1e-12 <= |d| < 1e-6 take each difference quotient of H as
-    the derivative at the midpoint (_kernel_L_near_diag).  Scalar inputs
-    give a complex.
+    costs 8n points, not n^2 per term.  The entries then follow
+    _kernel_L_entries.  At t = 0 the damped regularization collapses to
+    [sin(xmax*d) - sin(xmin*d)]/d, d = lam - mu, with the diagonal
+    |x1 - x2|.  Scalar inputs give a complex.
     """
     x1, x2, t = g.x1, g.x2, g.t
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    if t == 0.0:
+        d = lam - mu
+        diag = np.abs(d) < 1e-12
+        d = np.where(diag, 1.0, d)
+        xm, xM = min(x1, x2), max(x1, x2)
+        out = np.asarray((np.sin(xM * d) - np.sin(xm * d)) / d, dtype=complex)
+        out[diag] = abs(x1 - x2)
+    else:
+        ys = _hilbert_shifts(x1, x2)
+        out = _kernel_L_entries(lam, mu, pv_fresnel_hilbert(lam[..., None], ys, t),
+                                pv_fresnel_hilbert(mu[..., None], ys, t), g)
+    return out if np.ndim(out) else complex(out)
+
+
+def _kernel_L_entries(lam, mu, h_lam, h_mu, g):
+    """kernel_L (t != 0) entry by entry, from H(lam, y_k) and H(mu, y_k)
+    (last axis in _hilbert_shifts order); broadcasts over lam/mu.
+
+    gauge * (brace + (2/pi) pv) / (lam - mu) with the brace's sines taken
+    at lam - mu.  Entries with |lam - mu| < 1e-12 take the analytic
+    diagonal kernel_L_diag; entries with 1e-12 <= |lam - mu| < 1e-6 take
+    each difference quotient of H as the derivative at the midpoint
+    (_kernel_L_near_diag).
+    """
+    x1, x2, t = g.x1, g.x2, g.t
     d = lam - mu
     diag = np.abs(d) < 1e-12
     near = ~diag & (np.abs(d) < 1e-6)
     d = np.where(diag, 1.0, d)
-    if t == 0.0:
-        xm, xM = min(x1, x2), max(x1, x2)
-        out = (np.sin(xM * d) - np.sin(xm * d)) / d
-    else:
-        brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
-                 + np.exp(1j * t * mu * mu) * np.sin(x2 * d))
-        terms = _pv_terms(lam, mu, x1, x2)
-        minus_X = -np.array([X for _, X, _ in terms])
-        h_mu = pv_fresnel_hilbert(mu[..., None], minus_X, t)
-        h_lam = pv_fresnel_hilbert(lam[..., None], minus_X, t)
-        pv = 0.0j
-        for k, (sgn, _, phase) in enumerate(terms):
-            pv = pv + sgn * 0.25 * phase * (h_mu[..., k] - h_lam[..., k])
-        gauge = np.exp(-0.5j * t * lam * lam) * np.exp(-0.5j * t * mu * mu)
-        out = gauge * (brace + (2.0 / math.pi) * pv) / d
-    out = np.asarray(out, dtype=complex)
+    brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
+             + np.exp(1j * t * mu * mu) * np.sin(x2 * d))
+    pv = 0.0j
+    for k, (sgn, lp, mp) in enumerate(_pv_terms(lam, mu, x1, x2)):
+        pv = pv + sgn * 0.25 * (lp * mp) * (h_mu[..., k] - h_lam[..., k])
+    gauge = np.exp(-0.5j * t * lam * lam) * np.exp(-0.5j * t * mu * mu)
+    out = np.asarray(gauge * (brace + (2.0 / math.pi) * pv) / d, dtype=complex)
     if np.any(diag):
         out[diag] = kernel_L_diag(np.broadcast_to(lam, diag.shape)[diag], g)
-    if t != 0.0 and np.any(near):
+    if np.any(near):
         out[near] = _kernel_L_near_diag(np.broadcast_to(lam, near.shape)[near],
                                         np.broadcast_to(mu, near.shape)[near], g)
-    return out if np.ndim(out) else complex(out)
+    return out
 
 
 def _kernel_L_near_diag(lam, mu, g):
@@ -162,8 +184,8 @@ def _kernel_L_near_diag(lam, mu, g):
     brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
              + np.exp(1j * t * mu * mu) * np.sin(x2 * d)) / d
     pv = 0.0j
-    for sgn, X, phase in _pv_terms(lam, mu, x1, x2):
-        pv = pv - sgn * 0.25 * phase * pv_fresnel_hilbert_dlam(mid, -X, t)
+    for (sgn, lp, mp), y in zip(_pv_terms(lam, mu, x1, x2), _hilbert_shifts(x1, x2)):
+        pv = pv - sgn * 0.25 * (lp * mp) * pv_fresnel_hilbert_dlam(mid, y, t)
     return np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv)
 
 
@@ -185,20 +207,6 @@ def kernel_L_diag(lam, g):
     return out if np.ndim(out) else complex(out)
 
 
-def kernel_P(lam, x1, x2, t):
-    """One-variable kernel P(lam | x1, x2) (two Gaussian Hilbert transforms).
-
-    At t = 0 the regularized value is sign(x1 - x2) * exp(-i*x1*lam).
-    Broadcasts over lam.
-    """
-    lam = np.asarray(lam, dtype=float)
-    term = np.exp(1j * t * lam * lam - 1j * x1 * lam)
-    pv = (1.0 / 2j) * (np.exp(-1j * x2 * lam) * pv_fresnel_hilbert(lam, x1 - x2, t)
-                       - np.exp(1j * x2 * lam) * pv_fresnel_hilbert(lam, x1 + x2, t))
-    out = np.exp(-0.5j * t * lam * lam) * (term - (2.0 / math.pi) * pv)
-    return out if np.ndim(out) else complex(out)
-
-
 def kernel_V(lam, mu, kind, g):
     """Boundary-summed kernel V_eps(lam, mu) = L(lam, mu) + eps*L(lam, -mu).
 
@@ -207,22 +215,86 @@ def kernel_V(lam, mu, kind, g):
     return kernel_L(lam, mu, g) + kind.eps * kernel_L(lam, -mu, g)
 
 
-def rank_one_factors(kind, g):
-    """One-variable factors (f, g_fn) with A_eps(lam, mu) = eps*f(lam)*g_fn(mu).
+def _kernel_P(lam, x1, x2, t, h_minus, h_plus):
+    """One-variable kernel P(lam | x1, x2) from H(lam, x1 - x2) and
+    H(lam, x1 + x2) (two Gaussian Hilbert transforms); at t = 0 the
+    regularized value is sign(x1 - x2) * exp(-i*x1*lam)."""
+    term = np.exp(1j * t * lam * lam - 1j * x1 * lam)
+    pv = (1.0 / 2j) * (np.exp(-1j * x2 * lam) * h_minus - np.exp(1j * x2 * lam) * h_plus)
+    return np.exp(-0.5j * t * lam * lam) * (term - (2.0 / math.pi) * pv)
 
-    f(lam) = P(lam|x1,x2) + eps*P(-lam|x1,x2), g_fn from the swapped
+
+# |lam -+ mu| below which dynamical_nystrom takes kernel_L's entry recipe:
+# dividing the separable numerator by lam -+ mu amplifies the rounding of
+# its 12-term sum by 1/|lam -+ mu| (against kernel_L, at most 7e-13
+# relative for |lam - mu| in [1e-3, 1e-2) and 6e-14 in [1e-2, 1e-1))
+NYSTROM_BAND = 1e-2
+
+
+def dynamical_nystrom(nodes, kind, g):
+    """Nystrom data (V, f, gv) of the dynamical route on a node vector.
+
+    V[i, j] = kernel_V(nodes[i], nodes[j], kind, g).  f and gv are the
+    rank-one factors of A_eps(lam, mu) = eps*f(lam)*gv(mu) at the nodes:
+    f(lam) = P(lam|x1,x2) + eps*P(-lam|x1,x2) and gv from the swapped
     position pair.
+
+    One table H(+-nodes, y_k) of pv_fresnel_hilbert (8n points) serves all
+    three.  For t != 0 the numerator gauge * (brace + (2/pi) pv) of
+    kernel_L is a sum of 12 separable terms (_separable_numerator), so one
+    (n, 12) @ (12, 2n) product gives the numerators of L(lam, mu) and
+    L(lam, -mu) before the division by lam -+ mu.  Entries with
+    |lam -+ mu| < NYSTROM_BAND take _kernel_L_entries with H gathered from
+    the table.  At t = 0, V is kernel_V's closed form.
     """
     eps = kind.eps
     x1, x2, t = g.x1, g.x2, g.t
+    lam = np.asarray(nodes, dtype=float)
+    n = len(lam)
+    pts = np.concatenate([lam, -lam])
+    table = pv_fresnel_hilbert(pts[:, None], _hilbert_shifts(x1, x2), t)
+    p12 = _kernel_P(pts, x1, x2, t, table[:, 1], table[:, 3])
+    p21 = _kernel_P(pts, x2, x1, t, table[:, 0], table[:, 3])
+    f = p12[:n] + eps * p12[n:]
+    gv = p21[:n] + eps * p21[n:]
+    if t == 0.0:
+        return kernel_V(lam[:, None], lam[None, :], kind, g), f, gv
+    a, b = _separable_numerator(lam, table[:n], pts, table, g)
+    d = lam[:, None] - pts[None, :]
+    rows, cols = np.nonzero(np.abs(d) < NYSTROM_BAND)
+    d[rows, cols] = 1.0
+    mat = (a @ b) / d
+    mat[rows, cols] = _kernel_L_entries(lam[rows], pts[cols], table[rows], table[cols], g)
+    return mat[:, :n] + eps * mat[:, n:], f, gv
 
-    def f(lam):
-        return kernel_P(lam, x1, x2, t) + eps * kernel_P(-np.asarray(lam, dtype=float), x1, x2, t)
 
-    def g_fn(mu):
-        return kernel_P(mu, x2, x1, t) + eps * kernel_P(-np.asarray(mu, dtype=float), x2, x1, t)
+def _separable_numerator(lam, h_lam, mu, h_mu, g):
+    """Factors (a, b) with a @ b = gauge * (brace + (2/pi) pv), the
+    numerator of kernel_L (t != 0) on the lam x mu mesh of two node vectors
+    whose H(., y_k) rows are h_lam and h_mu.
 
-    return f, g_fn
+    The brace gives 4 terms through sin(x(lam - mu)) = (e^{ix lam}
+    e^{-ix mu} - e^{-ix lam} e^{ix mu})/2i, and each of the 4 H differences
+    of _pv_terms gives 2; the gauge e^{-it lam^2/2} e^{-it mu^2/2} scales
+    the rows of a and the columns of b.
+    """
+    x1, x2, t = g.x1, g.x2, g.t
+    chirp_lam = np.exp(1j * t * lam * lam)
+    chirp_mu = np.exp(1j * t * mu * mu)
+    e1 = np.exp(1j * x1 * lam)
+    e2 = np.exp(1j * x2 * mu)
+    terms = _pv_terms(lam, mu, x1, x2)
+    # the brace's e^{+-i x2 lam} and e^{-+i x1 mu} are the first two pv phases
+    (_, el, em_bar), (_, el_bar, em) = terms[:2]
+    cols = [chirp_lam * e1 / 2j, -chirp_lam * e1.conj() / 2j, el / 2j, -el_bar / 2j]
+    rows = [em_bar, em, chirp_mu * e2.conj(), chirp_mu * e2]
+    for k, (sgn, lp, mp) in enumerate(terms):
+        c = sgn * 0.5 / math.pi
+        cols += [c * lp, -c * lp * h_lam[:, k]]
+        rows += [mp * h_mu[:, k], mp]
+    a = np.stack(cols, axis=1) * np.exp(-0.5j * t * lam * lam)[:, None]
+    b = np.stack(rows) * np.exp(-0.5j * t * mu * mu)
+    return a, b
 
 
 def kernel_W(lam, mu, x):

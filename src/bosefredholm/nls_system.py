@@ -156,20 +156,6 @@ def build_aux_fields(cfg):
             AuxField(y[2], t[2], y[3], t[3], coincident_sign=cs))
 
 
-def build_K_p(p_index, cfg, quadrature):
-    """Integral operator K_p on a grid; kernel (pi/2) e_p^L(lam) e_p^R(mu)/(lam-mu).
-
-    The scalar numerator vanishes on the diagonal; the analytic limit is
-    row_phase * col_phase * G_p'.
-    """
-    aux = build_aux_fields(cfg)[p_index - 1]
-
-    def kern(lam, mu):
-        return aux.row_phase(lam) * aux.col_phase(mu) * aux.hilbert_diffquot(lam, mu)
-
-    return DiscretizedOperator.from_kernel(kern, quadrature, 2.0 / math.pi)
-
-
 def adapt_policy(cfg, policy):
     """Lower the damping when a Fresnel wavefront sits inside the damped
     region.

@@ -56,11 +56,6 @@ DEFAULT_POLICY = RegularizationPolicy()
 FINE_POLICY = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
 
 
-def tau(s, x, t):
-    """Quadratic phase i*t*s^2 - i*x*s."""
-    return 1j * t * s * s - 1j * x * s
-
-
 def gaussian_fresnel(x, t):
     """(1/2pi) * integral of exp(i*t*s^2 - i*x*s) ds over the real line.
 

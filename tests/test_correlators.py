@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from bosefredholm.correlators import (
     PhysicalPoint,
     boundary_w_det,
+    correlation_boundary_neumann,
     correlation_ground,
     correlation_static,
     correlation_thermal,
     density_of_temperature,
     static_ground_K,
 )
+from bosefredholm.errors import InvalidParameter
 from bosefredholm.fredholm import (
     DiscretizedOperator,
     Quadrature,
@@ -42,6 +45,41 @@ def test_physical_point_validation():
         PhysicalPoint(0.1, 0.2, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0))
     pt = PhysicalPoint(0.1, 0.2, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=0.5)
     assert pt.q == pytest.approx(0.5 * math.pi)
+
+
+def test_out_of_domain_evaluator_parameters_raise_invalid_parameter():
+    ground = ThermalParams(h=1.0, T=0.0)
+    with pytest.raises(InvalidParameter, match="Neumann-only"):
+        correlation_boundary_neumann(0.5, 0.3, PhysicalPoint(0.0, 0.5, 0.3, DIRICHLET, ground, D=1.0))
+    with pytest.raises(InvalidParameter, match="T = 0"):
+        correlation_ground(PhysicalPoint(0.2, 0.5, 0.3, NEUMANN, ThermalParams(h=1.0, T=0.4)))
+    for momentum in (0.0, -1.0):
+        with pytest.raises(InvalidParameter, match="momentum"):
+            static_ground_K(0.2, 0.5, NEUMANN, momentum)
+
+
+def test_one_lu_factorisation_per_operator(monkeypatch):
+    # det, condition guard and refined solve share one lu_factor; numpy's
+    # slogdet, cond, svd and det are not called
+    import bosefredholm.fredholm as fredholm
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a second factorisation")
+
+    monkeypatch.setattr(fredholm, "lu_factor", counting)
+    for name in ("slogdet", "cond", "svd", "det"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    pt = PhysicalPoint(0.4, 1.1, 0.5, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1.0)
+    correlation_ground(pt, n=32)                # node doubling: n = 16 and 32
+    assert shapes == [(16, 16), (32, 32)]
+    shapes.clear()
+    correlation_static(0.4, 1.1, NEUMANN, ThermalParams(h=1.0, T=0.5), n=24)
+    assert shapes == [(24, 24)]
 
 
 def test_dirichlet_wall_null_ground_and_thermal():

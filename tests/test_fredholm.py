@@ -5,6 +5,7 @@ import pytest
 
 from bosefredholm.errors import InvalidGrid, SingularOperator
 from bosefredholm.fredholm import (
+    COND_LIMIT,
     DiscretizedOperator,
     Quadrature,
     RankOnePerturbation,
@@ -117,6 +118,43 @@ def test_resolvent_singular_guard():
                              matrix=np.outer(a, a).astype(complex) / norm, scale=1.0)
     with pytest.raises(SingularOperator):
         resolvent_apply(op, a.astype(complex))
+
+
+def _operator_with_id_minus(quad, target):
+    """An operator whose I - scale*K*W is `target` (up to rounding)."""
+    w = quad.weights
+    return DiscretizedOperator(quadrature=quad, matrix=(np.eye(quad.n) - target) / w[None, :],
+                               scale=1.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 40])
+def test_rcond_guard_refuses_what_the_svd_guard_refused(n):
+    # operators with prescribed cond_2 (U diag(s) V^H) on both sides of
+    # COND_LIMIT: every one that the SVD test cond_2 > COND_LIMIT refused is
+    # refused, and moderate conditions pass
+    rng = np.random.default_rng(n)
+    quad = build_grid((0.0, 1.0), n)
+    rhs = np.ones(n, dtype=complex)
+    pert = RankOnePerturbation(f_values=rhs, g_values=rhs)
+    refused = 0
+    for cond in np.geomspace(1e9, 1e15, 25):
+        for spread in (True, False):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            s = np.geomspace(1.0, 1.0 / cond, n) if spread else np.r_[np.ones(n - 1), 1.0 / cond]
+            op = _operator_with_id_minus(quad, (u * s) @ v.conj().T)
+            if np.linalg.cond(op.id_minus()) > COND_LIMIT:
+                refused += 1
+                with pytest.raises(SingularOperator):
+                    resolvent_apply(op, rhs)
+                with pytest.raises(SingularOperator):
+                    det_with_rank_one_derivative(op, pert)
+    assert refused >= 20
+    for cond in (1.0, 1e4, 1e8):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        op = _operator_with_id_minus(quad, (u * np.geomspace(1.0, 1.0 / cond, n)) @ u.conj().T)
+        u_sol = resolvent_apply(op, rhs)
+        assert np.max(np.abs(op.id_minus() @ u_sol - rhs)) < 1e-6
 
 
 def test_rank_one_derivative_trivial_and_fd():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +10,53 @@ from bosefredholm.kernels import (
     DIRICHLET,
     GeometryParams,
     NEUMANN,
+    NYSTROM_BAND,
     ThermalParams,
+    dynamical_nystrom,
     fermi_weight,
     kernel_K_static,
     kernel_L,
     kernel_L_diag,
-    kernel_P,
     kernel_theta,
     kernel_V,
     kernel_W,
-    rank_one_factors,
 )
-from bosefredholm.fredholm import thermal_cut
+from bosefredholm.fredholm import build_grid, thermal_cut
 from bosefredholm.special_integrals import gauss_panels, pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
 from bosefredholm.validate import kernel_reflection_error, theta_static_error
+
+
+def kernel_P(lam, x1, x2, t):
+    """One-variable kernel P(lam | x1, x2) (two Gaussian Hilbert transforms).
+
+    At t = 0 the regularized value is sign(x1 - x2) * exp(-i*x1*lam).
+    Broadcasts over lam.  The library evaluates it only inside
+    kernels.dynamical_nystrom, from its Hilbert table; this is the oracle.
+    """
+    lam = np.asarray(lam, dtype=float)
+    term = np.exp(1j * t * lam * lam - 1j * x1 * lam)
+    pv = (1.0 / 2j) * (np.exp(-1j * x2 * lam) * pv_fresnel_hilbert(lam, x1 - x2, t)
+                       - np.exp(1j * x2 * lam) * pv_fresnel_hilbert(lam, x1 + x2, t))
+    out = np.exp(-0.5j * t * lam * lam) * (term - (2.0 / math.pi) * pv)
+    return out if np.ndim(out) else complex(out)
+
+
+def rank_one_factors(kind, g):
+    """One-variable factors (f, g_fn) with A_eps(lam, mu) = eps*f(lam)*g_fn(mu).
+
+    f(lam) = P(lam|x1,x2) + eps*P(-lam|x1,x2), g_fn from the swapped
+    position pair.
+    """
+    eps = kind.eps
+    x1, x2, t = g.x1, g.x2, g.t
+
+    def f(lam):
+        return kernel_P(lam, x1, x2, t) + eps * kernel_P(-np.asarray(lam, dtype=float), x1, x2, t)
+
+    def g_fn(mu):
+        return kernel_P(mu, x2, x1, t) + eps * kernel_P(-np.asarray(mu, dtype=float), x2, x1, t)
+
+    return f, g_fn
 
 
 def test_fermi_weight_examples():
@@ -186,6 +220,104 @@ def test_kernel_L_near_diagonal_has_no_cancellation():
     lam = 1.0
     for d in (1.01e-12, 1e-10, 1e-8):
         assert abs(kernel_L(lam, lam + d, g) - kernel_L_diag(lam, g)) <= 2 * d + 1e-12, d
+
+
+def _hilbert_mp(lam, y, t):
+    """pv_fresnel_hilbert in mpmath: e^{i t lam^2 - i y lam} i pi erf(kappa (2 t lam - y))."""
+    kappa = mp.expjpi(mp.sign(t) / 4) / (2 * mp.sqrt(abs(t)))
+    return mp.expj(t * lam ** 2 - y * lam) * 1j * mp.pi * mp.erf(kappa * (2 * t * lam - y))
+
+
+def kernel_L_mp(lam, mu, g):
+    """kernel_L (t != 0, lam != mu) at 40 digits: the H differences are taken
+    as they stand, with no midpoint derivative."""
+    with mp.workdps(40):
+        x1, x2, t, lam, mu = (mp.mpf(v) for v in (g.x1, g.x2, g.t, lam, mu))
+        d = lam - mu
+        brace = mp.expj(t * lam ** 2) * mp.sin(x1 * d) + mp.expj(t * mu ** 2) * mp.sin(x2 * d)
+        terms = ((1, x2 - x1, x2 * lam - x1 * mu), (1, x1 - x2, x1 * mu - x2 * lam),
+                 (-1, -x1 - x2, -x2 * lam - x1 * mu), (-1, x1 + x2, x2 * lam + x1 * mu))
+        pv = sum(sgn * mp.expj(phi) / 4 * (_hilbert_mp(mu, y, t) - _hilbert_mp(lam, y, t))
+                 for sgn, y, phi in terms)
+        return complex(mp.expj(-t * (lam ** 2 + mu ** 2) / 2) * (brace + 2 / mp.pi * pv) / d)
+
+
+_GEOMETRY = st.builds(GeometryParams, _POS, _POS,
+                      st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_GEOMETRY, _COORD, st.sampled_from((1.01e-12, 1e-10, 1e-8, 1e-7, 3e-7, 0.99e-6)),
+       st.sampled_from((-1.0, 1.0)))
+def test_kernel_L_near_diagonal_equals_mpmath_oracle(g, lam, d, side):
+    # 1e-12 <= |lam - mu| < 1e-6: each H difference quotient is taken as the
+    # derivative at the midpoint, which is off by -H'''(mid) d^2/24; the rest
+    # is rounding.  So the error is O(d^2) above a floor far below the 2d of
+    # test_kernel_L_near_diagonal_has_no_cancellation.
+    mu = lam + side * d
+    ref = kernel_L_mp(lam, mu, g)
+    assert abs(kernel_L(lam, mu, g) - ref) <= (1e-13 + 10.0 * d * d) * (1.0 + abs(ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_GEOMETRY, st.floats(0.5, 3.0), st.sampled_from((NEUMANN, DIRICHLET)))
+def test_dynamical_nystrom_band_edge_equals_mpmath_oracle(g, lam, kind):
+    # node pairs at |lam - mu| (first grid) and |lam + mu| (second grid)
+    # just inside and just outside NYSTROM_BAND: entries inside take
+    # kernel_L's entry recipe, entries outside the separable product; every
+    # other pair of a grid is at least 1.9 NYSTROM_BAND apart
+    inside, outside = NYSTROM_BAND * (1.0 - 1e-3), NYSTROM_BAND * (1.0 + 1e-3)
+    for nodes in (np.array([lam, lam + inside, lam - outside]),
+                  np.array([lam, -lam + inside, -lam - outside])):
+        V, _, _ = dynamical_nystrom(nodes, kind, g)
+        for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
+            a, b = nodes[i], nodes[j]
+            ref = kernel_L_mp(a, b, g) + kind.eps * kernel_L_mp(a, -b, g)
+            assert abs(V[i, j] - ref) <= 1e-12 * (1.0 + abs(ref)), (a, b)
+
+
+@st.composite
+def _nystrom_grids(draw):
+    n = draw(st.integers(2, 96))
+    if draw(st.booleans()):
+        p = ThermalParams(h=draw(st.floats(0.2, 3.0)), T=draw(st.floats(0.05, 2.0)))
+        quad = build_grid((0.0, math.inf), n, thermal=p)
+    else:
+        a = draw(st.floats(-2.0, 2.0))
+        quad = build_grid((a, a + draw(st.floats(0.1, 6.0))), n)
+    t = draw(st.one_of(st.just(0.0), st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)))
+    x1 = draw(st.one_of(st.just(0.0), _POS))
+    x2 = draw(st.one_of(st.just(x1), _POS))
+    return quad.nodes, GeometryParams(x1, x2, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nystrom_grids(), st.sampled_from((NEUMANN, DIRICHLET)))
+def test_dynamical_nystrom_equals_kernel_V_and_rank_one_factors(case, kind):
+    nodes, g = case
+    V, f, gv = dynamical_nystrom(nodes, kind, g)
+    ref = kernel_V(nodes[:, None], nodes[None, :], kind, g)
+    assert np.all(np.abs(V - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    f_fn, g_fn = rank_one_factors(kind, g)
+    for vals, fn in ((f, f_fn), (gv, g_fn)):
+        want = fn(nodes)
+        assert np.all(np.abs(vals - want) <= 1e-15 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.6])
+def test_dynamical_nystrom_evaluates_one_hilbert_table(monkeypatch, t):
+    # H at (+-node, +-x1 +- x2): 8n points for the matrix and both factors
+    import bosefredholm.kernels as kernels
+    points = []
+
+    def counting(lam, y, t):
+        points.append(np.broadcast(lam, y).size)
+        return pv_fresnel_hilbert(lam, y, t)
+
+    monkeypatch.setattr(kernels, "pv_fresnel_hilbert", counting)
+    nodes = build_grid((0.0, 3.0), 40).nodes
+    dynamical_nystrom(nodes, NEUMANN, GeometryParams(0.4, 1.1, t))
+    assert sum(points) == 8 * len(nodes)
 
 
 def test_kernel_L_scalar_input_gives_complex():

@@ -12,13 +12,12 @@ from bosefredholm.correlators import (
     correlation_ground,
 )
 from bosefredholm.errors import DegenerateDelta
-from bosefredholm.fredholm import build_grid
+from bosefredholm.fredholm import DiscretizedOperator, build_grid
 from bosefredholm.kernels import (
     GeometryParams,
     NEUMANN,
     ThermalParams,
     kernel_L,
-    kernel_P,
 )
 from bosefredholm.nls_system import (
     LINE_BASE_WIDTH,
@@ -32,7 +31,6 @@ from bosefredholm.nls_system import (
     build_aux_fields,
     build_b,
     build_E_vectors,
-    build_K_p,
     build_line_grid,
     build_M_operator,
     build_Q,
@@ -48,6 +46,8 @@ from bosefredholm.special_integrals import (
     graded_line_grid,
     pv_fresnel_hilbert,
 )
+from test_kernels import kernel_P
+
 
 POL3 = RegularizationPolicy(damping=4e-3)
 POL4 = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
@@ -79,6 +79,20 @@ def test_aux_hilbert_vs_closed_form():
     # derivative consistent with a finite difference
     d = (a.hilbert(lam + 5e-7) - a.hilbert(lam - 5e-7)) / 1e-6
     assert np.allclose(a.hilbert_deriv(lam), d, atol=1e-6)
+
+
+def build_K_p(p_index, cfg, quadrature):
+    """Integral operator K_p on a grid; kernel (pi/2) e_p^L(lam) e_p^R(mu)/(lam-mu).
+
+    The scalar numerator vanishes on the diagonal; the analytic limit is
+    row_phase * col_phase * G_p'.
+    """
+    aux = build_aux_fields(cfg)[p_index - 1]
+
+    def kern(lam, mu):
+        return aux.row_phase(lam) * aux.col_phase(mu) * aux.hilbert_diffquot(lam, mu)
+
+    return DiscretizedOperator.from_kernel(kern, quadrature, 2.0 / math.pi)
 
 
 def test_K_p_kernel_and_diagonal():

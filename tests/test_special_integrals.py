@@ -22,13 +22,18 @@ from bosefredholm.special_integrals import (
     pv_fresnel_hilbert_dlam,
     pv_quadrature,
     richardson_sequence,
-    tau,
 )
 from bosefredholm.validate import (
     gaussian_fresnel_error,
     hilbert_conjugation_error,
     hilbert_quadrature_error,
 )
+
+
+def tau(s, x, t):
+    """Quadratic phase i*t*s^2 - i*x*s."""
+    return 1j * t * s * s - 1j * x * s
+
 
 ORACLE_POLICY = RegularizationPolicy(damping=1e-2, extrapolation_orders=5)
 
