@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .errors import BoseFredholmError, ConvergenceFailure
+from .fredholm import thermal_cut
 from .kernels import (
     DIRICHLET,
     GeometryParams,
@@ -218,9 +219,9 @@ def cmd_correlate(args):
     return _finish_scan(results, args)
 
 
-def _value_only(value, n):
+def _value_only(value, n, truncation=0.0):
     """compute() parts of a command that reports a value and nothing else."""
-    return value, float("nan"), float("nan"), float("nan"), n, 0.0
+    return value, float("nan"), float("nan"), float("nan"), n, truncation
 
 
 def cmd_static(args):
@@ -239,6 +240,9 @@ def cmd_static(args):
 def cmd_boundary(args):
     results = []
     thermal = ThermalParams(h=args.h, T=args.T)
+    # at T > 0 both grids, the half line of W and the spectral line of b,
+    # are cut at thermal_cut(h, T); at T = 0 they are the finite Fermi sea
+    trunc = thermal_cut(thermal.h, thermal.T) if thermal.T > 0 else 0.0
     for x in parse_range(args.x):
         w_det = None
         for t in parse_range(args.t):
@@ -249,7 +253,7 @@ def cmd_boundary(args):
                 if w_det is None:
                     w_det = boundary_w_det(x, t, pt, n=args.n)
                 return _value_only(correlation_boundary_neumann(
-                    x, t, pt, n=args.n, n_spectral=args.n_spectral, w_det=w_det), args.n)
+                    x, t, pt, n=args.n, n_spectral=args.n_spectral, w_det=w_det), args.n, trunc)
 
             results.append(_point_record((0.0, x, t, args.T, args.h, args.D, "+"), args.n, "",
                                          compute))
@@ -294,22 +298,25 @@ def cmd_kernel_dump(args):
 
 
 def cmd_lax_check(args):
-    from .nls_system import (FourPointConfig, _closed_form, adapt_policy, build_b,
-                             build_line_grid, lax_compatibility_residual)
+    from .nls_system import (FourPointConfig, _closed_form, _lax_residuals, adapt_policy,
+                             build_b, build_line_grid)
 
     thermal = ThermalParams(h=args.h, T=args.T)
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, thermal, D=args.D if args.T == 0 else 0.0)
     cfg = FourPointConfig(y=tuple(args.y), t=tuple(args.tt))
     policy = RegularizationPolicy(damping=args.damping, extrapolation_orders=args.orders)
     stencil = build_line_grid(cfg, policy)
-    res_big = lax_compatibility_residual(cfg, pt, step=args.step, n=args.n, line_grid=stencil)
-    res_small = lax_compatibility_residual(cfg, pt, step=args.step / 2.0, n=args.n,
-                                           line_grid=stencil)
-    # the final b integrates on the stencil grid when it would build that
-    # same grid (an unadapted policy, no closed form): the grid's G samples
-    # and reciprocal mesh then serve it too
-    same_grid = adapt_policy(cfg, policy) == policy and not _closed_form(cfg, None)
-    mats = build_b(cfg, pt, n=args.n, policy=policy, line_grid=stencil if same_grid else None)
+    # the residuals of lax_compatibility_residual at step and step/2, from
+    # one walk through both stencils that evaluates the base b once
+    base, (res_big, res_small) = _lax_residuals(cfg, pt, (args.step, args.step / 2.0), args.n,
+                                                stencil)
+    # the final b is the stencil's base b when it would be built on that
+    # same grid (an unadapted policy, no closed form), with the same bits
+    # as on a grid of its own
+    if adapt_policy(cfg, policy) == policy and not _closed_form(cfg, None):
+        mats = base
+    else:
+        mats = build_b(cfg, pt, n=args.n, policy=policy)
     payload = {
         "config": {"y": list(args.y), "t": list(args.tt), "T": args.T, "h": args.h, "D": args.D},
         "step": args.step,

@@ -201,9 +201,8 @@ def kernel_L_diag(lam, g):
     if t == 0.0:
         out = np.full(lam.shape, abs(x1 - x2), dtype=complex)
     else:
-        jplus = fresnel_kink_integral(x1 + x2, lam, t)
-        jminus = fresnel_kink_integral(abs(x1 - x2), lam, t)
-        out = (x1 + x2) - (1.0 / math.pi) * np.exp(-1j * t * lam * lam) * (jplus - jminus)
+        kink = fresnel_kink_integral(x1 + x2, lam, t, c=abs(x1 - x2))
+        out = (x1 + x2) - (1.0 / math.pi) * np.exp(-1j * t * lam * lam) * kink
     return out if np.ndim(out) else complex(out)
 
 

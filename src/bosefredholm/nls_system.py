@@ -101,6 +101,11 @@ class AuxField:
         return np.exp(-1j * self.tb * mu ** 2 + 1j * self.yb * mu)
 
     @property
+    def key(self):
+        """(dy, dt, coincident_sign): all that hilbert and its quotients read."""
+        return (self.dy, self.dt, self.coincident_sign)
+
+    @property
     def coincident(self):
         """dy = dt = 0: G_p is the constant -(i/2) coincident_sign."""
         return self.dy == 0.0 and self.dt == 0.0
@@ -115,20 +120,22 @@ class AuxField:
             return np.zeros(np.shape(lam), dtype=complex)
         return pv_fresnel_hilbert_dlam(lam, self.dy, self.dt) / (2.0 * math.pi)
 
-    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None, mesh=None):
+    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None, mesh=None, out=None):
         """(G(lam) - G(s))/(lam - s), diagonal-safe.
 
         g_lam, g_s are G already sampled at lam and s; each one not given
         is evaluated here, once per axis (cheap outer difference).  mesh is
         the ReciprocalMesh of (lam, s) when already built; its near-diagonal
-        entries take G' at their midpoints.
+        entries take G' at their midpoints.  out is a complex array of the
+        mesh's shape to write the quotient into.
         """
         lam = np.asarray(lam, dtype=float)
         s = np.asarray(s, dtype=float)
         mesh = ReciprocalMesh(lam, s) if mesh is None else mesh
         g_lam = self.hilbert(lam) if g_lam is None else g_lam
         g_s = self.hilbert(s) if g_s is None else g_s
-        out = np.asarray((g_lam - g_s) * mesh.inv, dtype=complex)
+        out = np.asarray(np.subtract(g_lam, g_s, out=out, dtype=complex))
+        out *= mesh.inv
         if mesh.mid is not None:
             if out.ndim == 0:
                 return complex(np.asarray(self.hilbert_deriv(mesh.mid)).ravel()[0])
@@ -196,35 +203,81 @@ class _LineGridArrays(NamedTuple):
 class LineGrid(_LineGridArrays):
     """Nodes, damped-weight matrix and damping deltas of a line grid.
 
-    The grid also keeps what depends on it and on one pair alone, so every
+    The grid also keeps what depends on it and on the pairs alone, so every
     build_b on it (the stencil of lax_compatibility_residual) shares it: G_p
-    sampled on the nodes, by the pair's exact (dy, dt, coincident_sign),
-    and the ReciprocalMesh of the last spectral node block against the
-    nodes.  Both live as long as the grid object, which holds one node
-    vector per distinct pair it has seen; the shared samples are read-only.
+    sampled on the nodes, by the pair's exact AuxField.key, and the node
+    phases col_1 and row_2, by (y_2, t_2) and (y_3, t_3); the
+    ReciprocalMesh of the last spectral node block against the nodes; and
+    the last difference quotient of each pair on that mesh, with their
+    product.  The node vectors live as long as the grid object, which
+    holds one per distinct key it has seen.  Everything it hands out is
+    read-only.
     """
 
     def __init__(self, nodes, damped, deltas):
-        self._hilbert = {}
+        self._vectors = {}
         self._mesh = None
+        self._slots = [None, None, None]
+
+    def _node_vector(self, key, f):
+        """f on the nodes, evaluated once per key."""
+        if key not in self._vectors:
+            v = f(self.nodes)
+            v.flags.writeable = False
+            self._vectors[key] = v
+        return self._vectors[key]
 
     def hilbert(self, aux):
-        """G_p of the pair aux on the nodes; the key is all that
-        AuxField.hilbert reads."""
-        key = (aux.dy, aux.dt, aux.coincident_sign)
-        if key not in self._hilbert:
-            g = aux.hilbert(self.nodes)
-            g.flags.writeable = False
-            self._hilbert[key] = g
-        return self._hilbert[key]
+        """G_p of the pair aux on the nodes."""
+        return self._node_vector(("G", *aux.key), aux.hilbert)
+
+    def node_phases(self, a1, a2):
+        """col_1 and row_2 on the nodes: the phase of every whole-line
+        integrand is their product."""
+        return (self._node_vector(("col", a1.yb, a1.tb), a1.col_phase),
+                self._node_vector(("row", a2.ya, a2.ta), a2.row_phase))
 
     def reciprocal_mesh(self, block):
         """ReciprocalMesh of the spectral nodes block (shape (m, 1)) against
         the nodes; kept until another block is asked for."""
         if self._mesh is None or not np.array_equal(self._mesh[0], block):
-            self._mesh = None                  # one (m, ns) mesh alive at a time
+            # one (m, ns) mesh alive at a time, and no quotient of an old one
+            self._mesh = None
+            self._slots = [None, None, None]
             self._mesh = (np.array(block), ReciprocalMesh(block, self.nodes[None, :]))
         return self._mesh[1]
+
+    def quotients(self, a1, a2, block, g1_block, g2_block):
+        """(G_p(lam) - G_p(s))/(lam - s) of both pairs on the (block, nodes)
+        mesh, gp_block being G_p at the block, and their product; None for
+        a coincident pair's quotient and then for the product.
+
+        Each is kept in a slot of its own, keyed on its pairs' keys and on
+        the mesh object (held, so compared by identity), which fixes the
+        block.  A changed key re-forms the slot's array in place, so the
+        grid allocates three (block, ns) arrays per mesh, not three per
+        build_b; an array handed out holds until its slot is re-formed.
+        """
+        mesh = self.reciprocal_mesh(block)
+
+        def kept(slot, key, form):
+            held = self._slots[slot]
+            if held is None or held[0] != key or held[1] is not mesh:
+                out = form(None if held is None else held[2])
+                view = out.view()
+                view.flags.writeable = False
+                self._slots[slot] = held = (key, mesh, out, view)
+            return held[3]
+
+        def quotient(slot, aux, g_block):
+            return kept(slot, aux.key, lambda out: aux.hilbert_diffquot(
+                block, self.nodes[None, :], g_block, self.hilbert(aux)[None, :], mesh, out=out))
+
+        dq1 = None if a1.coincident else quotient(0, a1, g1_block)
+        dq2 = None if a2.coincident else quotient(1, a2, g2_block)
+        if dq1 is None or dq2 is None:
+            return dq1, dq2, None
+        return dq1, dq2, kept(2, (a1.key, a2.key), lambda out: np.multiply(dq1, dq2, out=out))
 
 
 def line_chirps(cfg):
@@ -252,13 +305,13 @@ def _damped_integrals(a1, a2, lam, line):
     """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
     cross integral of the M-hat diagonal (n) on the damped line grid.
 
-    One reciprocal mesh 1/(lam - s) per block of lam, kept by the line grid
-    for every build_b on it, serves both difference quotients; the
-    s-dependent phases and vector components sit in the weight columns of
-    the line samples, and the lam-dependent phases multiply the n results.
-    A coincident pair's K_p vanishes and is skipped.
+    The line grid forms the difference quotients and their product on its
+    reciprocal mesh 1/(lam - s), one per block of lam, and keeps the last
+    of each for every build_b on it; the s-dependent phases and vector
+    components sit in the weight columns of the line samples, and the
+    lam-dependent phases multiply the n results.  A coincident pair's K_p
+    vanishes and is skipped.
     """
-    g1S, g2S = line.g
     n = len(lam)
     sums_L = np.zeros((2, n), dtype=complex)
     sums_R = np.zeros((2, n), dtype=complex)
@@ -267,28 +320,23 @@ def _damped_integrals(a1, a2, lam, line):
     chunk = _block_size(len(line.nodes))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        block, S = lam[lo:hi, None], line.nodes[None, :]
-        mesh = line.grid.reciprocal_mesh(block)
-        dq1 = dq2 = None
-        if not a1.coincident:
-            dq1 = a1.hilbert_diffquot(block, S, g1lam[lo:hi, None], g1S[None, :], mesh)
+        dq1, dq2, cross = line.grid.quotients(a1, a2, lam[lo:hi, None], g1lam[lo:hi, None],
+                                              g2lam[lo:hi, None])
+        if dq1 is not None:
             sums_L[:, lo:hi] = damped_limit(dq1, line.weights_L)
-        if not a2.coincident:
-            dq2 = a2.hilbert_diffquot(block, S, g2lam[lo:hi, None], g2S[None, :], mesh)
+        if dq2 is not None:
             sums_R[:, lo:hi] = damped_limit(dq2, line.weights_R)
-        if dq1 is not None and dq2 is not None:
-            dq1 *= dq2
-            sums_X[lo:hi] = damped_limit(dq1, line.weights_X)
-        del dq1, dq2   # one set of (block, ns) arrays alive at a time: peak memory
+        if cross is not None:
+            sums_X[lo:hi] = damped_limit(cross, line.weights_X)
     row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
     return (row1 * sums_L).T, col2 * sums_R, row1 * col2 * sums_X
 
 
 class _LineSamples:
     """A line grid with what the whole-line integrals of one configuration
-    sample on its nodes, once for all of build_b: G_1 and G_2 (from the
-    grid, which keeps them for every configuration with the same pair), the
-    phase col_1 row_2, the weight columns, and the integrals on one lam
+    sample on its nodes, once for all of build_b: G_1 and G_2 and the node
+    phases (from the grid, which keeps them for every configuration with the
+    same pair or slot), the weight columns, and the integrals on one lam
     grid."""
 
     def __init__(self, cfg, line_grid):
@@ -296,13 +344,19 @@ class _LineSamples:
         self.grid, self.nodes, self.deltas = line_grid, nodes, line_grid.deltas
         a1, a2 = self.aux = build_aux_fields(cfg)
         self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
-        m = a1.col_phase(nodes) * a2.row_phase(nodes)
+        col1, row2 = line_grid.node_phases(a1, a2)
+        m = col1 * row2
         # weight columns v(s) * damped: damped_limit(dq, v[:, None] * damped)
-        # is the damped integral of dq * v
-        self.weights_X = m[:, None] * damped
-        self.weights_L = np.stack([-self.weights_X, g2[:, None] * self.weights_X])
-        self.weights_R = (2.0 / math.pi) * np.stack([g1[:, None] * self.weights_X,
-                                                     self.weights_X])
+        # is the damped integral of dq * v; each is built in place, with no
+        # (ns, k) temporaries
+        self.weights_X = wX = m[:, None] * damped
+        self.weights_L = wL = np.empty((2, *wX.shape), dtype=complex)
+        np.negative(wX, out=wL[0])
+        np.multiply(g2[:, None], wX, out=wL[1])
+        self.weights_R = wR = np.empty((2, *wX.shape), dtype=complex)
+        np.multiply(g1[:, None], wX, out=wR[0])
+        wR[0] *= 2.0 / math.pi
+        np.multiply(2.0 / math.pi, wX, out=wR[1])
         self._integrals = None
 
     def integrals(self, lam):
@@ -547,53 +601,90 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None,
-                               mus=(0.37, 1.1), line_grid=None):
+# spectral parameters at which the compatibility residuals are evaluated
+LAX_MUS = (0.37, 1.1)
+
+
+def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None, mus=LAX_MUS,
+                               line_grid=None):
     """Max-norm residuals of d_{t_j} L_k - d_{y_k} M_j + [L_k, M_j] = 0.
 
     Derivatives of b are three-point central differences with the given
     step; all stencil evaluations share one line grid, built once under the
     policy as given (not adapted), so the quadrature bias differentiates
     smoothly.  A shift moves one pair's (dy, dt), so the grid's G samples of
-    the other pair, and its reciprocal mesh, serve the whole stencil.
+    the other pair, its reciprocal mesh and, in the stencil's walk, its
+    difference quotients serve many configurations.
     Returns a (4, 4) array of per-(j,k) residual norms, maximized over mu
     values.
     """
     policy = policy or FINE_POLICY
     if line_grid is None:
         line_grid = build_line_grid(cfg, policy)
+    return _lax_residuals(cfg, ensemble, (step,), n, line_grid, mus)[1][0]
 
-    def bb(dy=None, dt=None):
-        c = cfg.shifted(dy=dy, dt=dt)
-        return build_b(c, ensemble, n=n, line_grid=line_grid).b
 
-    b0 = bb()
-    bp, bm = {}, {}
+def _stencil_shifts(step):
+    """(dy, dt) shifts of the stencil's 40 shifted configurations, by name:
+    ('y', j, sign) and ('t', j, sign) move slot j by sign*step,
+    ('yy', j, k, sj, sk) moves y_j by sj*step and y_k by sk*step."""
+    unit = np.zeros((4, 4))
+    np.fill_diagonal(unit, step)
+    shifts = {}
+    for j in range(4):
+        for sign in (1.0, -1.0):
+            e = tuple(sign * v for v in unit[j].tolist())
+            shifts['y', j, sign] = (e, None)
+            shifts['t', j, sign] = (None, e)
+        for k in range(j + 1, 4):
+            for sj in (1.0, -1.0):
+                for sk in (1.0, -1.0):
+                    shifts['yy', j, k, sj, sk] = (tuple(sj * unit[j] + sk * unit[k]), None)
+    return shifts
+
+
+def _lax_residuals(cfg, ensemble, steps, n, line_grid, mus=LAX_MUS):
+    """The NlsMatrices of cfg on line_grid and the residual matrices of
+    lax_compatibility_residual for each of the steps, all from one walk.
+
+    The base configuration is evaluated once for every step.  The walk goes
+    through the configurations sorted by their pairs' keys, so the line
+    grid's quotient slots form each pair's quotient once per run of equal
+    keys: once per distinct pair-1 key and once per distinct pair of keys.
+    """
+    configs = {(): cfg}
+    for step in steps:
+        for name, (dy, dt) in _stencil_shifts(step).items():
+            configs[(step, *name)] = cfg.shifted(dy=dy, dt=dt)
+    b = {}
+    for name in sorted(configs, key=lambda name: [a.key for a in build_aux_fields(configs[name])]):
+        mats = build_b(configs[name], ensemble, n=n, line_grid=line_grid)
+        b[name] = mats.b
+        if name == ():
+            base = mats
+    return base, [_residual_matrix(b, step, mus) for step in steps]
+
+
+def _residual_matrix(b, step, mus):
+    """Residual norms of the compatibility equations from the stencil's b,
+    by _stencil_shifts name after the step (the base under ())."""
+    b0 = b[()]
+    bp = {j: b[step, 'y', j, 1.0] for j in range(4)}
+    bm = {j: b[step, 'y', j, -1.0] for j in range(4)}
     db_dy = np.zeros((4, 4, 4), dtype=complex)
     db_dt = np.zeros((4, 4, 4), dtype=complex)
     for j in range(4):
-        ey = [0.0] * 4
-        ey[j] = step
-        bp[j] = bb(dy=tuple(ey))
-        bm[j] = bb(dy=tuple(-v for v in ey))
         db_dy[j] = (bp[j] - bm[j]) / (2.0 * step)
-        et = [0.0] * 4
-        et[j] = step
-        db_dt[j] = (bb(dt=tuple(et)) - bb(dt=tuple(-v for v in et))) / (2.0 * step)
+        db_dt[j] = (b[step, 't', j, 1.0] - b[step, 't', j, -1.0]) / (2.0 * step)
     d2b = np.zeros((4, 4, 4, 4), dtype=complex)
     for j in range(4):
-        for k in range(j, 4):
-            if j == k:
-                d2b[j][j] = (bp[j] - 2.0 * b0 + bm[j]) / step ** 2
-            else:
-                ej = np.zeros(4)
-                ej[j] = step
-                ek = np.zeros(4)
-                ek[k] = step
-                val = (bb(dy=tuple(ej + ek)) - bb(dy=tuple(ej - ek))
-                       - bb(dy=tuple(ek - ej)) + bb(dy=tuple(-ej - ek))) / (4.0 * step ** 2)
-                d2b[j][k] = val
-                d2b[k][j] = val
+        d2b[j][j] = (bp[j] - 2.0 * b0 + bm[j]) / step ** 2
+        for k in range(j + 1, 4):
+            yy = (step, 'yy', j, k)
+            val = (b[(*yy, 1.0, 1.0)] - b[(*yy, 1.0, -1.0)]
+                   - b[(*yy, -1.0, 1.0)] + b[(*yy, -1.0, -1.0)]) / (4.0 * step ** 2)
+            d2b[j][k] = val
+            d2b[k][j] = val
     pair = LaxPair(b=b0, db_dy=db_dy)
     res = np.zeros((4, 4))
     for j in range(4):

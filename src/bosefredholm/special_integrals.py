@@ -123,19 +123,22 @@ def erf_antiderivative(z):
     return z * erf(z) + np.exp(-z * z) / SQRT_PI
 
 
-def fresnel_kink_integral(a, lam, t):
-    """integral of exp(i*t*(u+lam)^2) * (1 - cos(a*u))/u^2 du over the line.
+def fresnel_kink_integral(a, lam, t, c=0.0):
+    """J(a) - J(c), J(a) the integral of exp(i*t*(u+lam)^2) * (1 - cos(a*u))/u^2 du
+    over the line; c = 0 gives J(a) itself.
 
-    Used for the analytic diagonal of the dynamical kernels.  t = 0 gives
-    pi*|a|.
+    Used for the analytic diagonal of the dynamical kernels.  With
+    E = erf_antiderivative, J(a) is a multiple of E(k(a+b)) - E(kb) +
+    E(k(a-b)) - E(-kb); the E(+-kb) terms cancel in the difference, which
+    takes four erf evaluations.  t = 0 gives pi*(|a| - |c|).
     """
     if t == 0.0:
-        return math.pi * abs(a) + 0.0j
+        return math.pi * (abs(a) - abs(c)) + 0.0j
     kappa = np.exp(1j * math.copysign(math.pi / 4.0, t)) / (2.0 * math.sqrt(abs(t)))
     b = 2.0 * t * lam
     pre = np.exp(1j * t * lam * lam) * math.pi / (2.0 * kappa)
-    return pre * (erf_antiderivative(kappa * (a + b)) - erf_antiderivative(kappa * b)
-                  + erf_antiderivative(kappa * (a - b)) - erf_antiderivative(-kappa * b))
+    return pre * ((erf_antiderivative(kappa * (a + b)) - erf_antiderivative(kappa * (c + b)))
+                  + (erf_antiderivative(kappa * (a - b)) - erf_antiderivative(kappa * (c - b))))
 
 
 # ---------------------------------------------------------------------------

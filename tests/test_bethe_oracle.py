@@ -217,6 +217,27 @@ def test_regularized_prop_approaches_thermo_limit():
     assert gaps[1] < 1e-2
 
 
+@pytest.mark.parametrize("kind", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("x1,x2,t,box", [
+    (0.3, 0.9, 0.1, 32.0), (0.3, 0.9, 0.3, 32.0), (0.5, 1.2, 0.6, 64.0), (1.0, 2.0, 1.0, 64.0)])
+def test_finite_box_approaches_dynamical_route_at_positive_t(kind, x1, x2, t, box):
+    # the time-dependent value of the finite box against the dynamical
+    # Fredholm route, two independent paths: the gap is O(1/L), and one
+    # Richardson step 2 v(2L) - v(L) in 1/L lands within 1e-3 (measured
+    # 2.3e-4 to 6.8e-4; the box's damping schedule sets a floor near 5e-4);
+    # the box carries h, which the dynamical value's exp(-iht) needs
+    from bosefredholm.correlators import PhysicalPoint, correlation_ground
+    from bosefredholm.kernels import ThermalParams
+
+    pt = PhysicalPoint(x1, x2, t, kind, ThermalParams(h=1.0, T=0.0), D=1.0)
+    target = correlation_ground(pt, n=96, with_error=False).value
+    vals = [proposition_determinant(FiniteSystem.ground_state(int(L), L, kind), x1, x2, t,
+                                    lam_max=240.0, h=1.0) for L in (box, 2.0 * box)]
+    gaps = [abs(v - target) for v in vals]
+    assert gaps[1] < 0.6 * gaps[0]
+    assert abs(2.0 * vals[1] - vals[0] - target) <= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # array paths of the finite-box oracle against their scalar / stacked forms
 

@@ -410,3 +410,41 @@ def test_invalid_point_is_a_one_line_configuration_error(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_lax_check_evaluates_the_base_b_once(monkeypatch):
+    # step and step/2 share the base configuration, and the final b on the
+    # stencil grid is that same b: 1 + 2 * 40 build_b calls, not 83
+    import bosefredholm.nls_system as nls
+    original, configs = nls.build_b, []
+
+    def counting(cfg, *args, **kwargs):
+        configs.append(cfg)
+        return original(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(nls, "build_b", counting)
+    y, tt = (-0.06, 0.06, 0.0, 0.15), (0.025, 0.1, -0.05, 0.175)
+    code, _ = run_cli(["lax-check", "--y", *map(str, y), "--tt", *map(str, tt), "--n", "8",
+                       "--damping", "2e-2", "--orders", "3"])
+    assert code == 0
+    assert len(configs) == 81
+    assert configs.count(nls.FourPointConfig(y=y, t=tt)) == 1
+
+
+@pytest.mark.parametrize("T,h", [(0.0, 1.0), (0.5, 1.0), (1.0, 0.3)])
+def test_boundary_record_reports_its_truncation(tmp_path, T, h):
+    # at T > 0 the W determinant's half line and b's spectral line are both
+    # cut at thermal_cut(h, T); the T = 0 Fermi sea is finite, reported as 0
+    from bosefredholm.fredholm import build_grid, thermal_cut
+    from bosefredholm.kernels import ThermalParams
+    out = tmp_path / "b.json"
+    code = main(["boundary", "--x", "0.6", "--t", "0.3", "--T", str(T), "--h", str(h),
+                 "--D", "1", "--n", "12", "--n-spectral", "8", "--format", "json",
+                 "--digits", "17", "--output", str(out)])
+    assert code == 0
+    rec = json.loads(out.read_text())[0]
+    if T == 0.0:
+        assert rec["truncation"] == 0.0
+    else:
+        quad = build_grid((0.0, math.inf), 12, thermal=ThermalParams(h=h, T=T))
+        assert rec["truncation"] == quad.truncation == thermal_cut(h, T)

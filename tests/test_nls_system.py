@@ -519,3 +519,64 @@ def test_stencil_samples_each_pair_hilbert_once_per_line_grid(monkeypatch):
     assert len(calls) == 41
     assert sorted(on_nodes) == sorted(pairs)
     assert len(pairs) < 2 * len(calls)
+
+
+def test_stencil_evaluates_each_node_phase_once_per_line_grid(monkeypatch):
+    # col_1 and row_2 run on the line nodes once per distinct (y_2, t_2) and
+    # (y_3, t_3) across the 41 stencil configurations, not once per build_b
+    import bosefredholm.nls_system as nls
+    cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
+    grid = build_line_grid(cfg, LAX_POLICY)
+    on_nodes = []
+    col, row = nls.AuxField.col_phase, nls.AuxField.row_phase
+
+    def counting_col(self, mu):
+        if np.size(mu) == len(grid.nodes):
+            on_nodes.append(("col", self.yb, self.tb))
+        return col(self, mu)
+
+    def counting_row(self, lam):
+        if np.size(lam) == len(grid.nodes):
+            on_nodes.append(("row", self.ya, self.ta))
+        return row(self, lam)
+
+    monkeypatch.setattr(nls.AuxField, "col_phase", counting_col)
+    monkeypatch.setattr(nls.AuxField, "row_phase", counting_row)
+    calls = _stencil(cfg, _point(0.0), grid)
+    slots = ({("col", c.y[1], c.t[1]) for c, _ in calls}
+             | {("row", c.y[2], c.t[2]) for c, _ in calls})
+    assert len(calls) == 41
+    assert sorted(on_nodes) == sorted(slots)
+    assert len(slots) < 2 * len(calls)
+
+
+def test_stencil_forms_each_quotient_once_per_run_of_pair_keys(monkeypatch):
+    # the stencil walks its configurations sorted by the pairs' keys, and
+    # the line grid keeps the last quotient of each pair: a pair-1 quotient
+    # is formed once per distinct pair-1 key and a pair-2 quotient once per
+    # distinct (pair-1, pair-2) key combination (8 + 18 = 26 here, against
+    # 82 for one per build_b and pair), into at most two arrays
+    import weakref
+    import bosefredholm.nls_system as nls
+    # the base configuration of the lax-general benchmark workload
+    cfg = FourPointConfig(y=(-0.06, 0.06, 0.0, 0.15), t=(0.025, 0.1, -0.05, 0.175))
+    grid = build_line_grid(cfg, LAX_POLICY)
+    original, formed = nls.AuxField.hilbert_diffquot, []
+
+    def alive():
+        return len({id(ref()) for ref in formed if ref() is not None})
+
+    def counting(self, lam, s, *args, **kwargs):
+        out = original(self, lam, s, *args, **kwargs)
+        if np.shape(s)[-1] == len(grid.nodes):
+            formed.append(weakref.ref(out))
+            assert alive() <= 2
+        return out
+
+    monkeypatch.setattr(nls.AuxField, "hilbert_diffquot", counting)
+    calls = _stencil(cfg, _point(0.0), grid, n=12)
+    keys = [tuple(a.key for a in build_aux_fields(c)) for c, _ in calls]
+    bound = len({k1 for k1, _ in keys}) + len(set(keys))
+    assert len(calls) == 41
+    assert 0 < len(formed) <= bound < 2 * len(calls)
+    assert alive() <= 2
