@@ -81,19 +81,6 @@ def _eps_kind(eps):
     raise CliError(f"unknown boundary kind {eps!r}")
 
 
-def _record(point, value, det, deriv, err, n, trunc, deltas, flag, ms):
-    return {
-        "x1": point[0], "x2": point[1], "t": point[2], "T": point[3],
-        "h": point[4], "D": point[5], "eps": point[6],
-        "value_re": float(np.real(value)), "value_im": float(np.imag(value)),
-        "det_re": float(np.real(det)), "det_im": float(np.imag(det)),
-        "deriv_re": float(np.real(deriv)), "deriv_im": float(np.imag(deriv)),
-        "err": err, "n": n, "truncation": trunc,
-        "deltas": "/".join(f"{d:g}" for d in deltas),
-        "flag": flag, "runtime_ms": ms,
-    }
-
-
 def _write_output(text, path):
     """Write text to the file at path, or to stdout when path is empty."""
     try:
@@ -157,7 +144,17 @@ def _point_record(point, n, flag, compute):
         value = det = deriv = err = float("nan")
         trunc, flag, exc = 0.0, _error_flag(caught), caught
     ms = 1000.0 * (time.perf_counter() - start)
-    return _record(point, value, det, deriv, err, n, trunc, (), flag, ms), exc
+    return {
+        "x1": point[0], "x2": point[1], "t": point[2], "T": point[3],
+        "h": point[4], "D": point[5], "eps": point[6],
+        "value_re": float(np.real(value)), "value_im": float(np.imag(value)),
+        "det_re": float(np.real(det)), "det_im": float(np.imag(det)),
+        "deriv_re": float(np.real(deriv)), "deriv_im": float(np.imag(deriv)),
+        "err": err, "n": n, "truncation": trunc,
+        # the damping schedule the command ran: no record command runs one
+        "deltas": "",
+        "flag": flag, "runtime_ms": ms,
+    }, exc
 
 
 def _finish_scan(results, args):
@@ -298,25 +295,16 @@ def cmd_kernel_dump(args):
 
 
 def cmd_lax_check(args):
-    from .nls_system import (FourPointConfig, _closed_form, _lax_residuals, adapt_policy,
-                             build_b, build_line_grid)
+    from .nls_system import FourPointConfig, lax_check
 
     thermal = ThermalParams(h=args.h, T=args.T)
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, thermal, D=args.D if args.T == 0 else 0.0)
     cfg = FourPointConfig(y=tuple(args.y), t=tuple(args.tt))
     policy = RegularizationPolicy(damping=args.damping, extrapolation_orders=args.orders)
-    stencil = build_line_grid(cfg, policy)
-    # the residuals of lax_compatibility_residual at step and step/2, from
-    # one walk through both stencils that evaluates the base b once
-    base, (res_big, res_small) = _lax_residuals(cfg, pt, (args.step, args.step / 2.0), args.n,
-                                                stencil)
-    # the final b is the stencil's base b when it would be built on that
-    # same grid (an unadapted policy, no closed form), with the same bits
-    # as on a grid of its own
-    if adapt_policy(cfg, policy) == policy and not _closed_form(cfg, None):
-        mats = base
-    else:
-        mats = build_b(cfg, pt, n=args.n, policy=policy)
+    # the final b and the residuals of lax_compatibility_residual at step and
+    # step/2, from one walk through both stencils
+    mats, stencil, (res_big, res_small) = lax_check(cfg, pt, (args.step, args.step / 2.0),
+                                                    args.n, policy)
     payload = {
         "config": {"y": list(args.y), "t": list(args.tt), "T": args.T, "h": args.h, "D": args.D},
         "step": args.step,

@@ -45,9 +45,9 @@ class Quadrature:
         return len(self.nodes)
 
 
-def thermal_cut(h, T, c=1.0, tol=1e-14):
+def thermal_cut(h, T, tol=1e-14):
     """Truncation of [0, inf) justified by the Fermi-weight decay."""
-    return math.sqrt(h + c * T * math.log(1.0 / tol))
+    return math.sqrt(h + T * math.log(1.0 / tol))
 
 
 def build_grid(domain, n, thermal=None, tol=1e-14):

@@ -301,98 +301,6 @@ def build_line_grid(cfg, policy):
     return LineGrid(nodes, damped_weights(nodes, weights, policy.deltas), policy.deltas)
 
 
-def _damped_integrals(a1, a2, lam, line):
-    """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
-    cross integral of the M-hat diagonal (n) on the damped line grid.
-
-    The line grid forms the difference quotients and their product on its
-    reciprocal mesh 1/(lam - s), one per block of lam, and keeps the last
-    of each for every build_b on it; the s-dependent phases and vector
-    components sit in the weight columns of the line samples, and the
-    lam-dependent phases multiply the n results.  A coincident pair's K_p
-    vanishes and is skipped.
-    """
-    n = len(lam)
-    sums_L = np.zeros((2, n), dtype=complex)
-    sums_R = np.zeros((2, n), dtype=complex)
-    sums_X = np.zeros(n, dtype=complex)
-    g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
-    chunk = _block_size(len(line.nodes))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        dq1, dq2, cross = line.grid.quotients(a1, a2, lam[lo:hi, None], g1lam[lo:hi, None],
-                                              g2lam[lo:hi, None])
-        if dq1 is not None:
-            sums_L[:, lo:hi] = damped_limit(dq1, line.weights_L)
-        if dq2 is not None:
-            sums_R[:, lo:hi] = damped_limit(dq2, line.weights_R)
-        if cross is not None:
-            sums_X[lo:hi] = damped_limit(cross, line.weights_X)
-    row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
-    return (row1 * sums_L).T, col2 * sums_R, row1 * col2 * sums_X
-
-
-class _LineSamples:
-    """A line grid with what the whole-line integrals of one configuration
-    sample on its nodes, once for all of build_b: G_1 and G_2 and the node
-    phases (from the grid, which keeps them for every configuration with the
-    same pair or slot), the weight columns, and the integrals on one lam
-    grid."""
-
-    def __init__(self, cfg, line_grid):
-        nodes, damped = line_grid.nodes, line_grid.damped
-        self.grid, self.nodes, self.deltas = line_grid, nodes, line_grid.deltas
-        a1, a2 = self.aux = build_aux_fields(cfg)
-        self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
-        col1, row2 = line_grid.node_phases(a1, a2)
-        m = col1 * row2
-        # weight columns v(s) * damped: damped_limit(dq, v[:, None] * damped)
-        # is the damped integral of dq * v; each is built in place, with no
-        # (ns, k) temporaries
-        self.weights_X = wX = m[:, None] * damped
-        self.weights_L = wL = np.empty((2, *wX.shape), dtype=complex)
-        np.negative(wX, out=wL[0])
-        np.multiply(g2[:, None], wX, out=wL[1])
-        self.weights_R = wR = np.empty((2, *wX.shape), dtype=complex)
-        np.multiply(g1[:, None], wX, out=wR[0])
-        wR[0] *= 2.0 / math.pi
-        np.multiply(2.0 / math.pi, wX, out=wR[1])
-        self._integrals = None
-
-    def integrals(self, lam):
-        """_damped_integrals on lam, computed once per lam grid."""
-        if self._integrals is None or not np.array_equal(self._integrals[0], lam):
-            self._integrals = (np.array(lam), *_damped_integrals(*self.aux, lam, self))
-        return self._integrals[1:]
-
-
-def _line_samples(cfg, policy, line_grid):
-    """Samples of cfg on the given LineGrid, or on the grid of cfg under its
-    adapted policy; samples that build_b passes on are used as they are."""
-    if isinstance(line_grid, _LineSamples):
-        return line_grid
-    if line_grid is None:
-        line_grid = build_line_grid(cfg, adapt_policy(cfg, policy))
-    return _LineSamples(cfg, line_grid)
-
-
-def _closed_form(cfg, line_grid):
-    """Whether the whole-line integrals of cfg are taken in closed form.
-
-    They have one when the first pair is coincident (G_1 constant, so
-    K_1 = 0) and the second equal-time (G_2 a plane wave), as at the x1 = 0
-    configuration correlation(0, x, t).  A given line grid always means
-    integration on it, which keeps the damped builders as the oracle.
-    """
-    y, t = cfg.y, cfg.t
-    return line_grid is None and y[0] == y[1] and t[0] == t[1] and t[2] == t[3]
-
-
-def _block_size(ns):
-    """Spectral nodes per block: a (block, ns) array holds about 4e6 entries."""
-    return max(1, 4_000_000 // max(ns, 1))
-
-
 def _plane_wave_amplitude(aux):
     """g with G(s) = g exp(-i dy s) for an equal-time pair (dt = 0).
 
@@ -403,63 +311,184 @@ def _plane_wave_amplitude(aux):
     return -0.5j * sign
 
 
-def _closed_form_right_action(a1, a2, mu):
-    """(e_1^R K_2-hat)(mu) (2 x n) in closed form.
+class _WholeLine:
+    """The whole-line integrals of one configuration as its builders read
+    them: E vectors and integrals sampled once per spectral grid, the Q
+    block, and the line grid (None, 0 nodes and () for closed forms)."""
 
-    With a = y_1, G_1 = g1 and G_2(s) = g2 exp(-i dy s), the integral of
-    col_1(s) row_2(s) (G_2(s) - G_2(mu))/(s - mu) over s is
-    g2 [H(mu; y_4 - a, T) - exp(-i dy mu) H(mu; y_3 - a, T)], T = t_3 - t_1,
-    H = pv_fresnel_hilbert: each part is a Gaussian Hilbert transform, and
-    their difference is regular at s = mu.
-    """
-    a, T = a1.ya, a2.ta - a1.ta
-    g1, g2 = _plane_wave_amplitude(a1), _plane_wave_amplitude(a2)
-    integral = g2 * (pv_fresnel_hilbert(mu, a2.yb - a, T)
-                     - np.exp(-1j * a2.dy * mu) * pv_fresnel_hilbert(mu, a2.ya - a, T))
-    # e_1^R(s) = (2/pi) col_1(s) [G_1, 1]: col_1 is inside the integral
-    spectral = (2.0 / math.pi) * a2.col_phase(mu) * integral
-    return np.stack([g1 * spectral, spectral], axis=0)
+    grid = None
+    line_nodes = 0
+    deltas = ()
+
+    def __init__(self, cfg):
+        self.aux = build_aux_fields(cfg)
+        self._sampled = None
+
+    def _on(self, lam):
+        """(lam, E vectors, integrals), sampled once per lam grid."""
+        if self._sampled is None or not np.array_equal(self._sampled[0], lam):
+            a1, a2 = self.aux
+            g1, g2 = a1.hilbert(lam), a2.hilbert(lam)
+            integrals = compL, compR, _ = self._integrals(lam, g1, g2)
+            EL = np.concatenate([a1.e_left(lam, g1), a2.e_left(lam, g2) + (2.0 / math.pi) * compL],
+                                axis=1)
+            ER = np.concatenate([a1.e_right(lam, g1) + (2.0 / math.pi) * compR,
+                                 a2.e_right(lam, g2)])
+            self._sampled = (np.array(lam), (EL, ER), integrals)
+        return self._sampled
+
+    def e_vectors(self, lam):
+        """E^L (n x 4) and E^R (4 x n) on lam (see build_E_vectors)."""
+        return self._on(lam)[1]
+
+    def integrals(self, lam):
+        """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
+        cross integral of the M-hat diagonal (n)."""
+        return self._on(lam)[2]
 
 
-def build_E_vectors(cfg, lam_grid, policy=FINE_POLICY, line_grid=None):
-    """E^L (n x 4) and E^R (4 x n) sampled on lam_grid.
+class _ClosedForm(_WholeLine):
+    """Closed forms of the whole-line integrals when the first pair is
+    coincident (G_1 = g1 constant, so K_1 = 0 and the cross integral
+    vanishes) and the second equal-time (G_2(s) = g2 exp(-i dy s))."""
+
+    def _integrals(self, mu, g1_mu, g2_mu):
+        """(e_1^R K_2-hat)(mu) in closed form, beside K_1 = 0.
+
+        With a = y_1, the integral of col_1(s) row_2(s) (G_2(s) -
+        G_2(mu))/(s - mu) over s is g2 [H(mu; y_4 - a, T) - exp(-i dy mu)
+        H(mu; y_3 - a, T)], T = t_3 - t_1, H = pv_fresnel_hilbert: each part
+        is a Gaussian Hilbert transform, and their difference is regular at
+        s = mu.
+        """
+        a1, a2 = self.aux
+        a, T = a1.ya, a2.ta - a1.ta
+        g1, g2 = _plane_wave_amplitude(a1), _plane_wave_amplitude(a2)
+        integral = g2 * (pv_fresnel_hilbert(mu, a2.yb - a, T)
+                         - np.exp(-1j * a2.dy * mu) * pv_fresnel_hilbert(mu, a2.ya - a, T))
+        # e_1^R(s) = (2/pi) col_1(s) [G_1, 1]: col_1 is inside the integral
+        spectral = (2.0 / math.pi) * a2.col_phase(mu) * integral
+        n = len(mu)
+        return (np.zeros((n, 2), dtype=complex), np.stack([g1 * spectral, spectral], axis=0),
+                np.zeros(n, dtype=complex))
+
+    def q_block(self):
+        """-(integral of e_1^R e_2^L): col_1 row_2 = exp(i T s^2 - i (y_3 - a) s)
+        and G_2 = g2 exp(-i dy s), so both integrals are 2 pi gaussian_fresnel;
+        e_1^R = (2/pi) col_1 [G_1, 1]."""
+        a1, a2 = self.aux
+        a, T = a1.ya, a2.ta - a1.ta
+        row = 2.0 * math.pi * gaussian_fresnel(a2.ya - a, T)
+        row_g = _plane_wave_amplitude(a2) * 2.0 * math.pi * gaussian_fresnel(a2.yb - a, T)
+        return -(2.0 / math.pi) * np.outer([_plane_wave_amplitude(a1), 1.0], [-row, row_g])
+
+
+class _LineSamples(_WholeLine):
+    """The whole-line integrals of one configuration damped on a line grid,
+    with what they sample on its nodes once for all of build_b: G_1 and G_2
+    and the node phases (from the grid, which keeps them for every
+    configuration with the same pair or slot) and the weight columns."""
+
+    def __init__(self, cfg, line_grid):
+        super().__init__(cfg)
+        self.grid, self.line_nodes, self.deltas = line_grid, len(line_grid.nodes), line_grid.deltas
+        a1, a2 = self.aux
+        self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
+        col1, row2 = line_grid.node_phases(a1, a2)
+        m = col1 * row2
+        # weight columns v(s) * damped: damped_limit(dq, v[:, None] * damped)
+        # is the damped integral of dq * v; each is built in place, with no
+        # (ns, k) temporaries
+        self.weights_X = wX = m[:, None] * line_grid.damped
+        self.weights_L = wL = np.empty((2, *wX.shape), dtype=complex)
+        np.negative(wX, out=wL[0])
+        np.multiply(g2[:, None], wX, out=wL[1])
+        self.weights_R = wR = np.empty((2, *wX.shape), dtype=complex)
+        np.multiply(g1[:, None], wX, out=wR[0])
+        wR[0] *= 2.0 / math.pi
+        np.multiply(2.0 / math.pi, wX, out=wR[1])
+
+    def _integrals(self, lam, g1lam, g2lam):
+        """The integrals on lam, damped.
+
+        The line grid forms the difference quotients and their product on
+        its reciprocal mesh 1/(lam - s), one per block of lam, and keeps the
+        last of each for every build_b on it; the s-dependent phases and
+        vector components sit in the weight columns, and the lam-dependent
+        phases multiply the n results.  A coincident pair's K_p vanishes
+        and is skipped.
+        """
+        a1, a2 = self.aux
+        n = len(lam)
+        sums_L = np.zeros((2, n), dtype=complex)
+        sums_R = np.zeros((2, n), dtype=complex)
+        sums_X = np.zeros(n, dtype=complex)
+        # spectral nodes per block: a (block, ns) array holds about 4e6 entries
+        chunk = max(1, 4_000_000 // max(self.line_nodes, 1))
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            dq1, dq2, cross = self.grid.quotients(a1, a2, lam[lo:hi, None], g1lam[lo:hi, None],
+                                                  g2lam[lo:hi, None])
+            if dq1 is not None:
+                sums_L[:, lo:hi] = damped_limit(dq1, self.weights_L)
+            if dq2 is not None:
+                sums_R[:, lo:hi] = damped_limit(dq2, self.weights_R)
+            if cross is not None:
+                sums_X[lo:hi] = damped_limit(cross, self.weights_X)
+        row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
+        return (row1 * sums_L).T, col2 * sums_R, row1 * col2 * sums_X
+
+    def q_block(self):
+        """-(integral of e_1^R e_2^L), damped: e_1^R e_2^L = (2/pi) col_1 row_2
+        [G_1, 1] (x) [-1, G_2], and weights_L holds col_1 row_2 [-1, G_2]
+        times the damped weights."""
+        rows = np.stack([self.g[0], np.ones_like(self.grid.nodes)])
+        return -(2.0 / math.pi) * damped_limit(rows, self.weights_L).T
+
+
+def chosen_line_grid(cfg, policy=FINE_POLICY):
+    """The line grid build_b integrates cfg on under policy: None for closed
+    forms, which every whole-line integral has when the first pair is
+    coincident (G_1 constant, so K_1 = 0) and the second equal-time (G_2 a
+    plane wave), as at correlation(0, x, t); else the grid of cfg under
+    adapt_policy(cfg, policy)."""
+    y, t = cfg.y, cfg.t
+    if y[0] == y[1] and t[0] == t[1] and t[2] == t[3]:
+        return None
+    return build_line_grid(cfg, adapt_policy(cfg, policy))
+
+
+def whole_line_integrals(cfg, policy=FINE_POLICY, line_grid=None):
+    """The whole-line integrals of cfg, chosen once for all of its builders:
+    damped on line_grid when one is given (which keeps the damped builders
+    as the oracle of the closed forms), else on chosen_line_grid(cfg,
+    policy), or in closed form when that is None."""
+    if line_grid is None:
+        line_grid = chosen_line_grid(cfg, policy)
+    return _ClosedForm(cfg) if line_grid is None else _LineSamples(cfg, line_grid)
+
+
+def build_E_vectors(whole_line, lam_grid):
+    """E^L (n x 4) and E^R (4 x n) sampled on lam_grid, from the
+    whole_line_integrals of a configuration.
 
     Components 3,4 of E^L are (1 + (2/pi) K1-hat) e_2^L; components 1,2 of
-    E^R are e_1^R (1 + (2/pi) K2-hat) (right action).  The whole-line
-    applications are closed forms at a closed-form configuration with no
-    line_grid (_closed_form); otherwise they use the damping policy on an
-    oscillation-graded grid.
+    E^R are e_1^R (1 + (2/pi) K2-hat) (right action).  Sampled once per lam
+    grid, so build_b and build_M_operator share them.
     """
-    a1, a2 = build_aux_fields(cfg)
-    lam = np.asarray(lam_grid, dtype=float)
-    n = len(lam)
-
-    EL = np.zeros((n, 4), dtype=complex)
-    ER = np.zeros((4, n), dtype=complex)
-    EL[:, :2] = a1.e_left(lam)
-    ER[2:, :] = a2.e_right(lam)
-    if _closed_form(cfg, line_grid):
-        compL = np.zeros((n, 2), dtype=complex)       # K_1 = 0
-        compR = _closed_form_right_action(a1, a2, lam)
-    else:
-        compL, compR, _ = _line_samples(cfg, policy, line_grid).integrals(lam)
-    EL[:, 2:] = a2.e_left(lam) + (2.0 / math.pi) * compL
-    ER[:2, :] = a1.e_right(lam) + (2.0 / math.pi) * compR
-    return EL, ER
+    return whole_line.e_vectors(np.asarray(lam_grid, dtype=float))
 
 
-def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
-    """4x4 matrix Q: Gaussian sigma_+ blocks and the -(integral of e1R e2L) block.
+def build_Q(whole_line, strict=True):
+    """4x4 matrix Q: Gaussian sigma_+ blocks and the -(integral of e1R e2L)
+    block, from the whole_line_integrals of a configuration.
 
     Coincident pairs (dy = dt = 0) make the sigma_+ block a delta
     distribution: DegenerateDelta when strict, entry 0 with a flag otherwise.
-    The integral block is a closed form at a closed-form configuration with
-    no line_grid (_closed_form), and damped otherwise.
     """
-    a1, a2 = build_aux_fields(cfg)
     Q = np.zeros((4, 4), dtype=complex)
     degenerate = []
-    for block, aux in ((0, a1), (2, a2)):
+    for block, aux in zip((0, 2), whole_line.aux):
         if aux.coincident:
             if strict:
                 raise DegenerateDelta(f"coincident pair {block // 2 + 1}: the sigma_+ block "
@@ -469,20 +498,7 @@ def build_Q(cfg, policy=FINE_POLICY, strict=True, line_grid=None):
         else:
             g = gaussian_fresnel(aux.dy, aux.dt)
         Q[block:block + 2, block:block + 2] = -g * SIGMA_PLUS
-    if _closed_form(cfg, line_grid):
-        # col_1 row_2 = exp(i T s^2 - i (y_3 - a) s) and G_2 = g2 exp(-i dy s),
-        # so both integrals are 2 pi gaussian_fresnel; e_1^R = (2/pi) col_1 [G_1, 1]
-        a, T = a1.ya, a2.ta - a1.ta
-        row = 2.0 * math.pi * gaussian_fresnel(a2.ya - a, T)
-        row_g = _plane_wave_amplitude(a2) * 2.0 * math.pi * gaussian_fresnel(a2.yb - a, T)
-        Q[:2, 2:] = -(2.0 / math.pi) * np.outer([_plane_wave_amplitude(a1), 1.0],
-                                                [-row, row_g])
-        return Q, degenerate
-    # e_1^R e_2^L = (2/pi) col_1 row_2 [G_1, 1] (x) [-1, G_2]; weights_L holds
-    # col_1 row_2 [-1, G_2] times the damped weights
-    line = _line_samples(cfg, policy, line_grid)
-    rows = np.stack([line.g[0], np.ones_like(line.nodes)])
-    Q[:2, 2:] = -(2.0 / math.pi) * damped_limit(rows, line.weights_L).T
+    Q[:2, 2:] = whole_line.q_block()
     return Q, degenerate
 
 
@@ -518,38 +534,26 @@ def _spectral_grid(ensemble, n):
     return quad, lambda lam: fermi_weight(lam, p)
 
 
-def build_M_operator(cfg, quadrature, weight_fn=None, policy=FINE_POLICY, line_grid=None,
-                     e_vectors=None):
-    """M-hat on the grid: kernel -(pi/2) E^L(lam).E^R(mu)/(lam - mu).
+def build_M_operator(whole_line, quadrature, weight_fn=None):
+    """M-hat on the grid: kernel -(pi/2) E^L(lam).E^R(mu)/(lam - mu), from
+    the whole_line_integrals of a configuration.
 
     Off-diagonal entries contract the sampled E vectors; the diagonal is the
-    analytic limit, whose integral term vanishes when a pair is coincident
-    (the difference quotient of a constant G) and is otherwise evaluated
-    with the damping policy.
+    analytic limit, whose integral term is the cross integral of the
+    whole-line integrals (0 when a pair is coincident: the difference
+    quotient of a constant G).
     """
-    a1, a2 = build_aux_fields(cfg)
+    a1, a2 = whole_line.aux
     lam = quadrature.nodes
-    n = len(lam)
-    if not _closed_form(cfg, line_grid):
-        line_grid = _line_samples(cfg, policy, line_grid)
-    if e_vectors is None:
-        EL, ER = build_E_vectors(cfg, lam, line_grid=line_grid)
-    else:
-        EL, ER = e_vectors
-    num = EL @ ER
+    EL, ER = build_E_vectors(whole_line, lam)
     diff = lam[:, None] - lam[None, :]
-    mat = np.zeros((n, n), dtype=complex)
-    off = ~np.eye(n, dtype=bool)
-    mat[off] = -(math.pi / 2.0) * num[off] / diff[off]
+    np.fill_diagonal(diff, 1.0)
+    mat = -(math.pi / 2.0) * (EL @ ER) / diff
     # diagonal: -A1 B1 G1' - A2 B2 G2' - (2/pi) * cross integral
-    if a1.coincident or a2.coincident:
-        cross = np.zeros(n, dtype=complex)
-    else:
-        cross = line_grid.integrals(lam)[2]
-    diag = (-a1.row_phase(lam) * a1.col_phase(lam) * a1.hilbert_deriv(lam)
-            - a2.row_phase(lam) * a2.col_phase(lam) * a2.hilbert_deriv(lam)
-            - (2.0 / math.pi) * cross)
-    mat[np.arange(n), np.arange(n)] = diag
+    cross = whole_line.integrals(lam)[2]
+    np.fill_diagonal(mat, -a1.row_phase(lam) * a1.col_phase(lam) * a1.hilbert_deriv(lam)
+                     - a2.row_phase(lam) * a2.col_phase(lam) * a2.hilbert_deriv(lam)
+                     - (2.0 / math.pi) * cross)
     return DiscretizedOperator(quadrature=quadrature, matrix=mat, scale=2.0 / math.pi,
                                weight_fn=weight_fn)
 
@@ -558,43 +562,24 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     """b = B + Q with B_{jk} = integral of F_j^R E_k^L over the spectral domain.
 
     F^R solves the transposed resolvent system F^R (1 - (2/pi) M-hat) = E^R.
-    At a closed-form configuration (first pair coincident, second pair
-    equal-time, as correlation(0, x, t)) with no line_grid, every
-    whole-line integral is a closed form and no line grid is built.
-    Otherwise the integrals are damped on the given LineGrid, or on the grid
-    built for cfg under adapt_policy(cfg, policy), with G_1 and G_2 sampled
-    on it at most once per grid (LineGrid.hilbert); the result reports that
-    grid's node count and deltas.
+    The whole-line integrals are chosen once (whole_line_integrals): closed
+    forms at the x1 = 0 configuration with no line_grid, so no line grid is
+    built; otherwise damped on the given LineGrid, or on the grid of cfg
+    under adapt_policy(cfg, policy), with G_1 and G_2 sampled on it at most
+    once per grid (LineGrid.hilbert).  The result reports that grid's node
+    count and deltas.
     """
     quad, weight_fn = _spectral_grid(ensemble, n)
-    if not _closed_form(cfg, line_grid):
-        line_grid = _line_samples(cfg, policy, line_grid)
-    EL, ER = build_E_vectors(cfg, quad.nodes, line_grid=line_grid)
-    op = build_M_operator(cfg, quad, weight_fn=weight_fn, line_grid=line_grid,
-                          e_vectors=(EL, ER))
+    whole_line = whole_line_integrals(cfg, policy, line_grid)
+    EL, ER = build_E_vectors(whole_line, quad.nodes)
+    op = build_M_operator(whole_line, quad, weight_fn=weight_fn)
     w = op.effective_weights()
     amat = np.eye(n) - op.scale * (op.matrix.T * w[None, :])
     FR = np.linalg.solve(amat, ER.T).T          # (4, n)
     B = np.einsum('i,ji,ik->jk', w, FR, EL)
-    Q, degenerate = build_Q(cfg, strict=False, line_grid=line_grid)
-    if line_grid is None:
-        return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate)
+    Q, degenerate = build_Q(whole_line, strict=False)
     return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate,
-                       line_nodes=len(line_grid.nodes), deltas=line_grid.deltas)
-
-
-@dataclass
-class LaxPair:
-    """L_j(mu) = mu P_j + [b, P_j] and M_j(mu) = -mu L_j(mu) + db/dy_j."""
-
-    b: np.ndarray
-    db_dy: np.ndarray   # (4, 4, 4): derivative index first
-
-    def L(self, j, mu):
-        return mu * P_MATRICES[j] + _comm(self.b, P_MATRICES[j])
-
-    def M(self, j, mu):
-        return -mu * self.L(j, mu) + self.db_dy[j]
+                       line_nodes=whole_line.line_nodes, deltas=whole_line.deltas)
 
 
 def _comm(a, b):
@@ -605,8 +590,7 @@ def _comm(a, b):
 LAX_MUS = (0.37, 1.1)
 
 
-def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None, mus=LAX_MUS,
-                               line_grid=None):
+def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=FINE_POLICY, line_grid=None):
     """Max-norm residuals of d_{t_j} L_k - d_{y_k} M_j + [L_k, M_j] = 0.
 
     Derivatives of b are three-point central differences with the given
@@ -615,13 +599,24 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=None, mus=LAX_M
     smoothly.  A shift moves one pair's (dy, dt), so the grid's G samples of
     the other pair, its reciprocal mesh and, in the stencil's walk, its
     difference quotients serve many configurations.
-    Returns a (4, 4) array of per-(j,k) residual norms, maximized over mu
-    values.
+    Returns a (4, 4) array of per-(j,k) residual norms, maximized over the
+    LAX_MUS values.
     """
-    policy = policy or FINE_POLICY
     if line_grid is None:
         line_grid = build_line_grid(cfg, policy)
-    return _lax_residuals(cfg, ensemble, (step,), n, line_grid, mus)[1][0]
+    return _lax_residuals(cfg, ensemble, (step,), n, line_grid)[1][0]
+
+
+def lax_check(cfg, ensemble, steps, n=24, policy=FINE_POLICY):
+    """(b, stencil, residuals): build_b(cfg, ensemble, n, policy), the line
+    grid of the stencils and lax_compatibility_residual for each of the
+    steps, from one walk.  When build_b's grid is the stencils' (no closed
+    form, and adapt_policy leaves the policy), b is their base b."""
+    grid = chosen_line_grid(cfg, policy)
+    shared = grid is not None and adapt_policy(cfg, policy) is policy
+    stencil = grid if shared else build_line_grid(cfg, policy)
+    base, residuals = _lax_residuals(cfg, ensemble, steps, n, stencil)
+    return (base if shared else build_b(cfg, ensemble, n=n, line_grid=grid)), stencil, residuals
 
 
 def _stencil_shifts(step):
@@ -643,7 +638,7 @@ def _stencil_shifts(step):
     return shifts
 
 
-def _lax_residuals(cfg, ensemble, steps, n, line_grid, mus=LAX_MUS):
+def _lax_residuals(cfg, ensemble, steps, n, line_grid):
     """The NlsMatrices of cfg on line_grid and the residual matrices of
     lax_compatibility_residual for each of the steps, all from one walk.
 
@@ -656,26 +651,20 @@ def _lax_residuals(cfg, ensemble, steps, n, line_grid, mus=LAX_MUS):
     for step in steps:
         for name, (dy, dt) in _stencil_shifts(step).items():
             configs[(step, *name)] = cfg.shifted(dy=dy, dt=dt)
-    b = {}
-    for name in sorted(configs, key=lambda name: [a.key for a in build_aux_fields(configs[name])]):
-        mats = build_b(configs[name], ensemble, n=n, line_grid=line_grid)
-        b[name] = mats.b
-        if name == ():
-            base = mats
-    return base, [_residual_matrix(b, step, mus) for step in steps]
+    walk = sorted(configs, key=lambda name: [a.key for a in build_aux_fields(configs[name])])
+    mats = {name: build_b(configs[name], ensemble, n=n, line_grid=line_grid) for name in walk}
+    b = {name: m.b for name, m in mats.items()}
+    return mats[()], [_residual_matrix(b, step) for step in steps]
 
 
-def _residual_matrix(b, step, mus):
+def _residual_matrix(b, step):
     """Residual norms of the compatibility equations from the stencil's b,
     by _stencil_shifts name after the step (the base under ())."""
     b0 = b[()]
-    bp = {j: b[step, 'y', j, 1.0] for j in range(4)}
-    bm = {j: b[step, 'y', j, -1.0] for j in range(4)}
-    db_dy = np.zeros((4, 4, 4), dtype=complex)
-    db_dt = np.zeros((4, 4, 4), dtype=complex)
-    for j in range(4):
-        db_dy[j] = (bp[j] - bm[j]) / (2.0 * step)
-        db_dt[j] = (b[step, 't', j, 1.0] - b[step, 't', j, -1.0]) / (2.0 * step)
+    bp = [b[step, 'y', j, 1.0] for j in range(4)]
+    bm = [b[step, 'y', j, -1.0] for j in range(4)]
+    db_dy = [(bp[j] - bm[j]) / (2.0 * step) for j in range(4)]
+    db_dt = [(b[step, 't', j, 1.0] - b[step, 't', j, -1.0]) / (2.0 * step) for j in range(4)]
     d2b = np.zeros((4, 4, 4, 4), dtype=complex)
     for j in range(4):
         d2b[j][j] = (bp[j] - 2.0 * b0 + bm[j]) / step ** 2
@@ -685,12 +674,14 @@ def _residual_matrix(b, step, mus):
                    - b[(*yy, -1.0, 1.0)] + b[(*yy, -1.0, -1.0)]) / (4.0 * step ** 2)
             d2b[j][k] = val
             d2b[k][j] = val
-    pair = LaxPair(b=b0, db_dy=db_dy)
     res = np.zeros((4, 4))
     for j in range(4):
         for k in range(4):
-            for mu in mus:
+            for mu in LAX_MUS:
+                # the Lax pair L_j(mu) = mu P_j + [b, P_j], M_j(mu) = -mu L_j(mu) + db/dy_j
+                L_k = mu * P_MATRICES[k] + _comm(b0, P_MATRICES[k])
+                M_j = -mu * (mu * P_MATRICES[j] + _comm(b0, P_MATRICES[j])) + db_dy[j]
                 r = (_comm(db_dt[j], P_MATRICES[k]) + mu * _comm(db_dy[k], P_MATRICES[j])
-                     - d2b[j][k] + _comm(pair.L(k, mu), pair.M(j, mu)))
+                     - d2b[j][k] + _comm(L_k, M_j))
                 res[j, k] = max(res[j, k], float(np.max(np.abs(r))))
     return res

@@ -18,8 +18,8 @@ from .bethe_oracle import (
     permutation_identity_check,
     proposition_determinant,
 )
-from .correlators import (PhysicalPoint, correlation_ground, correlation_static,
-                          correlation_thermal, density_of_temperature)
+from .correlators import (PhysicalPoint, correlation_boundary_neumann, correlation_ground,
+                          correlation_static, correlation_thermal, density_of_temperature)
 from .kernels import (DIRICHLET, GeometryParams, NEUMANN, ThermalParams, kernel_K_static,
                       kernel_L, kernel_theta)
 from .special_integrals import (DEFAULT_POLICY, RegularizationPolicy, damped_line_integral,
@@ -174,6 +174,20 @@ def static_dynamic_error(kind, n_dynamic, n_static):
     return abs(a - b) / abs(a)
 
 
+def boundary_dynamical_error(points, T, n, n_spectral):
+    """Worst |boundary route - dynamical route| / |dynamical| of the Neumann
+    correlator at x1 = 0, h = 1 (D = 1 at T = 0) over (x, t) points: W and
+    the dynamical kernel on n nodes, b on n_spectral."""
+    p = ThermalParams(h=1.0, T=T)
+    worst = 0.0
+    for x, t in points:
+        pt = PhysicalPoint(0.0, x, t, NEUMANN, p, D=1.0 if T == 0.0 else 0.0)
+        ref = _value(0.0, x, t, NEUMANN, T, n)
+        val = correlation_boundary_neumann(x, t, pt, n=n, n_spectral=n_spectral)
+        worst = max(worst, abs(val - ref) / abs(ref))
+    return worst
+
+
 def density_limit_error(T):
     """|D(T) - sqrt(h)/pi| at h = 1."""
     return abs(density_of_temperature(ThermalParams(h=1.0, T=T)) - 1.0 / math.pi)
@@ -212,13 +226,16 @@ CHECKS = {
                     lambda: hermiticity_error(0.3, 0.9, 0.5, NEUMANN, T=0.0, n=56)),
     "static": ("static minor equals dynamic value at t=0", 1e-9,
                lambda: static_dynamic_error(NEUMANN, n_dynamic=100, n_static=90)),
+    "boundary": ("x1=0 boundary route equals dynamical route at T>0", 1e-10,
+                 lambda: max(boundary_dynamical_error(((0.2, 0.1), (1.1, 0.55), (2.0, 1.0)), T,
+                                                      n=72, n_spectral=128) for T in (0.3, 1.0))),
 }
 
 _FAST = ("gaussian", "conjugation", "reflection", "theta", "permutation", "orthogonality",
          "null", "density")
 SUITES = {
     "fast": _FAST,
-    "all": _FAST + ("quadrature", "form-factors", "routes", "hermiticity", "static"),
+    "all": _FAST + ("quadrature", "form-factors", "routes", "hermiticity", "static", "boundary"),
     "oracle": ("permutation", "orthogonality"),
     "oracle-full": ("permutation", "orthogonality", "form-factors", "routes"),
 }

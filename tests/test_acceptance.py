@@ -31,6 +31,7 @@ from bosefredholm.nls_system import (
     build_b,
     build_M_operator,
     lax_compatibility_residual,
+    whole_line_integrals,
 )
 from bosefredholm.special_integrals import (
     RegularizationPolicy,
@@ -143,7 +144,7 @@ def test_criterion_06_kernel_degeneration():
         t = float(rng.uniform(0.1, 0.7))
         cfg = FourPointConfig.correlation(x1, x2, t)
         quad = build_grid((-math.pi, math.pi), 16)
-        op = build_M_operator(cfg, quad, policy=POL5)
+        op = build_M_operator(whole_line_integrals(cfg, POL5), quad)
         g = GeometryParams(x2, x1, t)
         lam, mu = quad.nodes[:, None], quad.nodes[None, :]
         gauge = np.exp(0.5j * t * (lam ** 2 - mu ** 2))

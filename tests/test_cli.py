@@ -397,6 +397,26 @@ def test_lax_check_final_b_shares_the_stencil_grid(tmp_path, monkeypatch, y, tt,
     assert np.array_equal(np.array(data["b_re"]) + 1j * np.array(data["b_im"]), b)
 
 
+def test_lax_check_final_b_at_a_closed_form_configuration(tmp_path):
+    # first pair coincident, second equal-time: the stencil integrates on
+    # its line grid, the final b is build_b's closed form on no grid
+    import numpy as np
+    import bosefredholm.nls_system as nls
+    from bosefredholm.correlators import PhysicalPoint
+    from bosefredholm.kernels import NEUMANN, ThermalParams
+    y, tt = (0.0, 0.0, -0.4, 0.4), (0.0, 0.0, 0.3, 0.3)
+    out = tmp_path / "lax.json"
+    code = main(["lax-check", "--y", *map(str, y), "--tt", *map(str, tt), "--step", "4e-3",
+                 "--n", "10", "--output", str(out)])
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["line_grids"] == {"stencil": {"nodes": 11360, "deltas": [0.01, 0.005, 0.0025]},
+                                  "final": {"nodes": 0, "deltas": []}}
+    pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=0.7)
+    b = nls.build_b(nls.FourPointConfig(y=y, t=tt), pt, n=10).b
+    assert np.array_equal(np.array(data["b_re"]) + 1j * np.array(data["b_im"]), b)
+
+
 @pytest.mark.parametrize("argv", [
     ["correlate", "--eps", "+", "--x1", "0.3", "--x2", "0.5", "--t", "0"],
     ["boundary", "--x", "0.5", "--t", "0.3"],

@@ -23,6 +23,7 @@ from bosefredholm.fredholm import (
 )
 from bosefredholm.kernels import DIRICHLET, NEUMANN, ThermalParams, kernel_theta
 from bosefredholm.validate import (
+    boundary_dynamical_error,
     density_limit_error,
     dirichlet_null_ratio,
     hermiticity_error,
@@ -223,6 +224,14 @@ def test_static_ground_vs_thermal_minor_sign():
         a = correlation_static(0.4, 1.1, kind, p0, n=80)
         b = static_ground_K(0.4, 1.1, kind, math.sqrt(h), n=80)
         assert abs(a + b) < 1e-10 * abs(a), kind.eps
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0])
+def test_boundary_route_matches_dynamical_route_at_positive_T(T):
+    # the criterion-5 points on the thermal line: b needs 128 spectral
+    # nodes there (at 32 the two routes differ by 1.4e-3)
+    points = ((0.2, 0.1), (1.1, 0.55), (2.0, 1.0))
+    assert boundary_dynamical_error(points, T, n=72, n_spectral=128) <= 1e-10
 
 
 def test_boundary_det_time_independent():

@@ -26,7 +26,6 @@ from bosefredholm.nls_system import (
     FourPointConfig,
     LineGrid,
     P_MATRICES,
-    _LineSamples,
     adapt_policy,
     build_aux_fields,
     build_b,
@@ -36,6 +35,7 @@ from bosefredholm.nls_system import (
     build_Q,
     lax_compatibility_residual,
     line_chirps,
+    whole_line_integrals,
 )
 from bosefredholm.special_integrals import (
     FINE_POLICY,
@@ -118,7 +118,7 @@ def test_K_p_kernel_and_diagonal():
 def test_E_vector_bare_components():
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     lam = np.linspace(-1.0, 1.0, 7)
-    EL, ER = build_E_vectors(cfg, lam, policy=POL3)
+    EL, ER = build_E_vectors(whole_line_integrals(cfg, POL3), lam)
     a1, a2 = build_aux_fields(cfg)
     assert np.allclose(EL[:, :2], a1.e_left(lam), atol=1e-14)
     assert np.allclose(ER[2:, :], a2.e_right(lam), atol=1e-14)
@@ -129,7 +129,7 @@ def test_E_vector_degenerate_first_pair():
     # so K1 vanishes and components 3,4 of E^L reduce to e_2^L
     cfg = FourPointConfig(y=(0.3, 0.3, -0.5, 0.9), t=(0.2, 0.2, 0.0, 0.4))
     lam = np.linspace(-1.0, 1.0, 6)
-    EL, _ = build_E_vectors(cfg, lam, policy=POL3)
+    EL, _ = build_E_vectors(whole_line_integrals(cfg, POL3), lam)
     a2 = build_aux_fields(cfg)[1]
     assert np.allclose(EL[:, 2:], a2.e_left(lam), atol=1e-12)
 
@@ -138,16 +138,17 @@ def test_E_vector_closed_ode_in_y():
     # d/dy_j E^R = (mu P_j + [Q, P_j]) E^R with O(step^2) convergence
     cfg = FourPointConfig(y=(0.15, 0.45, -0.35, 0.8), t=(0.1, 0.32, -0.2, 0.55))
     mus = np.array([0.37, -0.9])
-    Q, _ = build_Q(cfg, policy=POL3)
-    _, ER0 = build_E_vectors(cfg, mus, policy=POL3)
+    Q, _ = build_Q(whole_line_integrals(cfg, POL3))
+    _, ER0 = build_E_vectors(whole_line_integrals(cfg, POL3), mus)
     worst = {}
     for step in (2e-3, 1e-3):
         worst[step] = 0.0
         for j in range(4):
             dy = [0.0] * 4
             dy[j] = step
-            _, ERp = build_E_vectors(cfg.shifted(dy=tuple(dy)), mus, policy=POL3)
-            _, ERm = build_E_vectors(cfg.shifted(dy=tuple(-v for v in dy)), mus, policy=POL3)
+            _, ERp = build_E_vectors(whole_line_integrals(cfg.shifted(dy=tuple(dy)), POL3), mus)
+            _, ERm = build_E_vectors(
+                whole_line_integrals(cfg.shifted(dy=tuple(-v for v in dy)), POL3), mus)
             fd = (ERp - ERm) / (2 * step)
             for k, mu in enumerate(mus):
                 lj = mu * P_MATRICES[j] + (Q @ P_MATRICES[j] - P_MATRICES[j] @ Q)
@@ -160,22 +161,23 @@ def test_E_vector_closed_ode_in_t():
     # d/dt_j E^R = m_j(mu) E^R with m_j = -mu l_j + dQ/dy_j
     cfg = FourPointConfig(y=(0.15, 0.45, -0.35, 0.8), t=(0.1, 0.32, -0.2, 0.55))
     mus = np.array([0.37, -0.9])
-    Q, _ = build_Q(cfg, policy=POL3)
-    _, ER0 = build_E_vectors(cfg, mus, policy=POL3)
+    Q, _ = build_Q(whole_line_integrals(cfg, POL3))
+    _, ER0 = build_E_vectors(whole_line_integrals(cfg, POL3), mus)
     step = 2e-3
     dQ_dy = []
     for j in range(4):
         dy = [0.0] * 4
         dy[j] = step
-        Qp, _ = build_Q(cfg.shifted(dy=tuple(dy)), policy=POL3)
-        Qm, _ = build_Q(cfg.shifted(dy=tuple(-v for v in dy)), policy=POL3)
+        Qp, _ = build_Q(whole_line_integrals(cfg.shifted(dy=tuple(dy)), POL3))
+        Qm, _ = build_Q(whole_line_integrals(cfg.shifted(dy=tuple(-v for v in dy)), POL3))
         dQ_dy.append((Qp - Qm) / (2 * step))
     worst = 0.0
     for j in range(4):
         dt = [0.0] * 4
         dt[j] = step
-        _, ERp = build_E_vectors(cfg.shifted(dt=tuple(dt)), mus, policy=POL3)
-        _, ERm = build_E_vectors(cfg.shifted(dt=tuple(-v for v in dt)), mus, policy=POL3)
+        _, ERp = build_E_vectors(whole_line_integrals(cfg.shifted(dt=tuple(dt)), POL3), mus)
+        _, ERm = build_E_vectors(
+            whole_line_integrals(cfg.shifted(dt=tuple(-v for v in dt)), POL3), mus)
         fd = (ERp - ERm) / (2 * step)
         for k, mu in enumerate(mus):
             lj = mu * P_MATRICES[j] + (Q @ P_MATRICES[j] - P_MATRICES[j] @ Q)
@@ -186,7 +188,7 @@ def test_E_vector_closed_ode_in_t():
 
 def test_Q_structure():
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
-    Q, degenerate = build_Q(cfg, policy=POL3)
+    Q, degenerate = build_Q(whole_line_integrals(cfg, POL3))
     assert not degenerate
     assert np.all(Q[2:, :2] == 0.0)           # lower-left block vanishes
     assert Q[0, 0] == 0.0 and Q[1, 1] == 0.0  # sigma_+ blocks are strictly upper
@@ -197,8 +199,8 @@ def test_Q_structure():
 def test_Q_degenerate_flagging():
     cfg = FourPointConfig(y=(0.3, 0.3, -0.5, 0.9), t=(0.2, 0.2, 0.0, 0.4))
     with pytest.raises(DegenerateDelta):
-        build_Q(cfg, policy=POL3, strict=True)
-    Q, degenerate = build_Q(cfg, policy=POL3, strict=False)
+        build_Q(whole_line_integrals(cfg, POL3), strict=True)
+    Q, degenerate = build_Q(whole_line_integrals(cfg, POL3), strict=False)
     assert degenerate == [(0, 1)]
     assert Q[0, 1] == 0.0
 
@@ -223,7 +225,7 @@ def test_coincident_pair_makes_no_raising_gaussian_fresnel_call(monkeypatch):
     assert mats.degenerate_entries == [(0, 1)]
     assert mats.Q[0, 1] == 0.0
     with pytest.raises(DegenerateDelta):
-        build_Q(FourPointConfig.correlation(0.0, 0.9, 0.4), strict=True)
+        build_Q(whole_line_integrals(FourPointConfig.correlation(0.0, 0.9, 0.4)), strict=True)
     assert raised == []
 
 
@@ -231,7 +233,7 @@ def test_Q14_closed_form_at_correlation_cfg():
     # at the correlation configuration the (1,4) entry collapses to G(x1+x2)
     x1, x2, t = 0.35, 0.9, 0.3
     cfg = FourPointConfig.correlation(x1, x2, t)
-    Q, _ = build_Q(cfg, policy=POL4)
+    Q, _ = build_Q(whole_line_integrals(cfg, POL4))
     assert abs(Q[0, 3] - gaussian_fresnel(x1 + x2, t)) < 1e-8
 
 
@@ -242,7 +244,7 @@ def test_four_point_kernel_degeneration():
     x1, x2, t = 0.35, 0.9, 0.3
     cfg = FourPointConfig.correlation(x1, x2, t)
     quad = build_grid((-math.pi, math.pi), 12)
-    op = build_M_operator(cfg, quad, policy=POL3)
+    op = build_M_operator(whole_line_integrals(cfg, POL3), quad)
     g = GeometryParams(x2, x1, t)
     lam, mu = quad.nodes[:, None], quad.nodes[None, :]
     gauge = np.exp(0.5j * t * (lam ** 2 - mu ** 2))
@@ -271,7 +273,7 @@ def test_b_small_q_tends_to_Q():
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1e-4 / math.pi)
     mats = build_b(cfg, pt, n=8, policy=POL3)
-    Q, _ = build_Q(cfg, policy=POL3)
+    Q, _ = build_Q(whole_line_integrals(cfg, POL3))
     assert np.max(np.abs(mats.B)) < 1e-3
     assert np.max(np.abs(mats.b - Q)) < 1e-3
 
@@ -334,7 +336,9 @@ def test_boundary_route_matches_dynamical_route(x, t):
 
 def test_damped_b_samples_each_hilbert_once_per_line_grid(monkeypatch):
     # G_1 and G_2 are evaluated on the line grid once per build_b, not once
-    # per builder, vector component and spectral block
+    # per builder, vector component and spectral block; and on the 12
+    # spectral nodes once each, not once per E-vector component and again
+    # for the whole-line integrals
     import bosefredholm.nls_system as nls
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=0.7)
@@ -349,6 +353,7 @@ def test_damped_b_samples_each_hilbert_once_per_line_grid(monkeypatch):
     monkeypatch.setattr(nls, "pv_fresnel_hilbert", counting)
     build_b(cfg, pt, n=12, line_grid=line_grid)
     assert sum(size for size in sizes if size >= ns) == 2 * ns
+    assert sizes.count(12) == 2
 
 
 # -- the damped line grid sized by its phases, and the reciprocal mesh --------
@@ -448,7 +453,7 @@ _ORACLE_POLICY = RegularizationPolicy(damping=0.5)
 def test_damped_integrals_equal_mesh_oracle(data, cfg):
     grid = build_line_grid(cfg, _ORACLE_POLICY)
     lam = data.draw(_lam_near_nodes(grid.nodes))
-    got = _LineSamples(cfg, grid).integrals(lam)
+    got = whole_line_integrals(cfg, line_grid=grid).integrals(lam)
     ref = _damped_integrals_oracle(cfg, lam, grid.nodes, grid.damped)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -468,7 +473,7 @@ def test_b_reports_the_line_grid_it_used():
 
 # -- one line grid shared by the Lax stencil --------------------------------
 
-def _stencil(cfg, pt, grid, step=4e-3, n=8, policy=None):
+def _stencil(cfg, pt, grid, step=4e-3, n=8, policy=FINE_POLICY):
     """(cfg, b) of every build_b that lax_compatibility_residual runs on
     grid, in order."""
     import bosefredholm.nls_system as nls
