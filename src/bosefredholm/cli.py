@@ -402,7 +402,8 @@ def make_parser():
     b.add_argument("--T", type=float, default=0.0)
     b.add_argument("--h", type=float, default=1.0)
     b.add_argument("--D", type=float, default=0.0)
-    b.add_argument("--n-spectral", type=int, default=32)
+    b.add_argument("--n-spectral", type=int, default=None,
+                   help="spectral nodes of b (default: --n)")
     _add_n(b)
     # accepted for existing scripts; the x1=0 route integrates in closed form
     _add_policy(b, note=" (no effect: the x1=0 route runs no damping)")

@@ -13,8 +13,7 @@ from .kernels import fermi_weight
 from .special_integrals import (
     FINE_POLICY,
     RegularizationPolicy,
-    damped_limit,
-    damped_weights,
+    extrapolated_weights,
     gaussian_fresnel,
     graded_line_grid,
     pv_fresnel_hilbert,
@@ -196,12 +195,17 @@ LINE_PHASE_PER_PANEL = 16.0
 
 class _LineGridArrays(NamedTuple):
     nodes: np.ndarray
-    damped: np.ndarray
+    weights: np.ndarray
     deltas: tuple
 
 
 class LineGrid(_LineGridArrays):
-    """Nodes, damped-weight matrix and damping deltas of a line grid.
+    """Nodes, quadrature weights and damping deltas of a line grid.
+
+    `extrapolated` holds their extrapolated_weights, formed once: every
+    damped whole-line integral on the grid is one contraction against it,
+    which gives the Richardson limit without forming the per-delta
+    estimates.
 
     The grid also keeps what depends on it and on the pairs alone, so every
     build_b on it (the stencil of lax_compatibility_residual) shares it: G_p
@@ -214,7 +218,9 @@ class LineGrid(_LineGridArrays):
     read-only.
     """
 
-    def __init__(self, nodes, damped, deltas):
+    def __init__(self, nodes, weights, deltas):
+        self.extrapolated = extrapolated_weights(nodes, weights, deltas)
+        self.extrapolated.flags.writeable = False
         self._vectors = {}
         self._mesh = None
         self._slots = [None, None, None]
@@ -298,7 +304,7 @@ def build_line_grid(cfg, policy):
     nodes, weights = graded_line_grid(policy.tail_cut, base_width=LINE_BASE_WIDTH,
                                       phase_per_panel=LINE_PHASE_PER_PANEL,
                                       chirps=line_chirps(cfg))
-    return LineGrid(nodes, damped_weights(nodes, weights, policy.deltas), policy.deltas)
+    return LineGrid(nodes, weights, policy.deltas)
 
 
 def _plane_wave_amplitude(aux):
@@ -395,21 +401,14 @@ class _LineSamples(_WholeLine):
         a1, a2 = self.aux
         self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
         col1, row2 = line_grid.node_phases(a1, a2)
-        m = col1 * row2
-        # weight columns v(s) * damped: damped_limit(dq, v[:, None] * damped)
-        # is the damped integral of dq * v; each is built in place, with no
-        # (ns, k) temporaries
-        self.weights_X = wX = m[:, None] * line_grid.damped
-        self.weights_L = wL = np.empty((2, *wX.shape), dtype=complex)
-        np.negative(wX, out=wL[0])
-        np.multiply(g2[:, None], wX, out=wL[1])
-        self.weights_R = wR = np.empty((2, *wX.shape), dtype=complex)
-        np.multiply(g1[:, None], wX, out=wR[0])
-        wR[0] *= 2.0 / math.pi
-        np.multiply(2.0 / math.pi, wX, out=wR[1])
+        # weight columns v(s) * extrapolated weights: dq @ v is the damped,
+        # extrapolated integral of dq * v
+        self.weights_X = wX = col1 * row2 * line_grid.extrapolated
+        self.weights_L = np.stack([-wX, g2 * wX], axis=1)
+        self.weights_R = np.stack([g1 * wX, wX], axis=1) * (2.0 / math.pi)
 
     def _integrals(self, lam, g1lam, g2lam):
-        """The integrals on lam, damped.
+        """The integrals on lam, damped and extrapolated.
 
         The line grid forms the difference quotients and their product on
         its reciprocal mesh 1/(lam - s), one per block of lam, and keeps the
@@ -420,8 +419,8 @@ class _LineSamples(_WholeLine):
         """
         a1, a2 = self.aux
         n = len(lam)
-        sums_L = np.zeros((2, n), dtype=complex)
-        sums_R = np.zeros((2, n), dtype=complex)
+        sums_L = np.zeros((n, 2), dtype=complex)
+        sums_R = np.zeros((n, 2), dtype=complex)
         sums_X = np.zeros(n, dtype=complex)
         # spectral nodes per block: a (block, ns) array holds about 4e6 entries
         chunk = max(1, 4_000_000 // max(self.line_nodes, 1))
@@ -430,20 +429,20 @@ class _LineSamples(_WholeLine):
             dq1, dq2, cross = self.grid.quotients(a1, a2, lam[lo:hi, None], g1lam[lo:hi, None],
                                                   g2lam[lo:hi, None])
             if dq1 is not None:
-                sums_L[:, lo:hi] = damped_limit(dq1, self.weights_L)
+                sums_L[lo:hi] = dq1 @ self.weights_L
             if dq2 is not None:
-                sums_R[:, lo:hi] = damped_limit(dq2, self.weights_R)
+                sums_R[lo:hi] = dq2 @ self.weights_R
             if cross is not None:
-                sums_X[lo:hi] = damped_limit(cross, self.weights_X)
+                sums_X[lo:hi] = cross @ self.weights_X
         row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
-        return (row1 * sums_L).T, col2 * sums_R, row1 * col2 * sums_X
+        return row1[:, None] * sums_L, (col2[:, None] * sums_R).T, row1 * col2 * sums_X
 
     def q_block(self):
         """-(integral of e_1^R e_2^L), damped: e_1^R e_2^L = (2/pi) col_1 row_2
         [G_1, 1] (x) [-1, G_2], and weights_L holds col_1 row_2 [-1, G_2]
-        times the damped weights."""
+        times the extrapolated weights."""
         rows = np.stack([self.g[0], np.ones_like(self.grid.nodes)])
-        return -(2.0 / math.pi) * damped_limit(rows, self.weights_L).T
+        return -(2.0 / math.pi) * (rows @ self.weights_L)
 
 
 def chosen_line_grid(cfg, policy=FINE_POLICY):

@@ -229,10 +229,24 @@ def damped_weights(nodes, weights, deltas):
     """Real (ns, k) damped-weight matrix weights * exp(-delta_k * s^2).
 
     Column k damps the quadrature weights with the k-th delta of the
-    schedule; every damped sum of the package is a contraction against it.
+    schedule; every damped sum of the package is a contraction against it,
+    or against its extrapolated column (extrapolated_weights).
     """
     nodes = np.asarray(nodes, dtype=float)
     return np.asarray(weights, dtype=float)[:, None] * np.exp(-np.outer(nodes * nodes, deltas))
+
+
+def extrapolated_weights(nodes, weights, deltas):
+    """Real (ns,) weights whose contraction is the Richardson limit of the
+    damped estimates: damped_weights(nodes, weights, deltas) @ c.
+
+    The limit is a fixed linear combination c of the k estimates, so c is
+    richardson_sequence of the unit basis.  vals @ extrapolated_weights(...)
+    equals damped_limit(vals, damped_weights(...)) without its consistency
+    check, which needs the per-delta estimates.
+    """
+    coefficients, _ = richardson_sequence(np.eye(len(deltas)))
+    return damped_weights(nodes, weights, deltas) @ coefficients
 
 
 def damped_limit(vals, damped, rtol=None):

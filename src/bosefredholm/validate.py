@@ -156,6 +156,28 @@ def route_equivalence_error(orders, times, lam_max, damped):
     return worst
 
 
+def finite_box_dynamical_error(kinds, points):
+    """(worst extrapolated gap, worst gap ratio) of the finite box against the
+    dynamical route at t > 0, per wall in kinds and (x1, x2, t, L) in points.
+
+    v(L) is proposition_determinant of the N = L ground state in a box of
+    length L (lam_max = 240, h = 1), the target the ground-state dynamical
+    value at D = 1 on 96 nodes.  The gap is O(1/L): the first metric is
+    |2 v(2L) - v(L) - target|, one Richardson step in 1/L, the second
+    |v(2L) - target| / |v(L) - target|.
+    """
+    worst = worst_ratio = 0.0
+    for kind in kinds:
+        for x1, x2, t, box in points:
+            target = _value(x1, x2, t, kind, 0.0, 96)
+            small, large = (proposition_determinant(FiniteSystem.ground_state(int(L), L, kind),
+                                                    x1, x2, t, lam_max=240.0, h=1.0)
+                            for L in (box, 2.0 * box))
+            worst = max(worst, abs(2.0 * large - small - target))
+            worst_ratio = max(worst_ratio, abs(large - target) / abs(small - target))
+    return worst, worst_ratio
+
+
 def dirichlet_null_ratio(T, n):
     """|Dirichlet| / |Neumann| correlator at the wall, (x1, x2, t) = (0, 0.9, 0.4)."""
     return abs(_value(0.0, 0.9, 0.4, DIRICHLET, T, n)) / abs(_value(0.0, 0.9, 0.4, NEUMANN, T, n))
@@ -229,13 +251,18 @@ CHECKS = {
     "boundary": ("x1=0 boundary route equals dynamical route at T>0", 1e-10,
                  lambda: max(boundary_dynamical_error(((0.2, 0.1), (1.1, 0.55), (2.0, 1.0)), T,
                                                       n=72, n_spectral=128) for T in (0.3, 1.0))),
+    "finite-box": ("finite box extrapolates to dynamical route at t>0", 1e-3,
+                   lambda: finite_box_dynamical_error(
+                       _WALLS, ((0.3, 0.9, 0.1, 32.0), (0.3, 0.9, 0.3, 32.0),
+                                (0.5, 1.2, 0.6, 64.0), (1.0, 2.0, 1.0, 64.0)))[0]),
 }
 
 _FAST = ("gaussian", "conjugation", "reflection", "theta", "permutation", "orthogonality",
          "null", "density")
 SUITES = {
     "fast": _FAST,
-    "all": _FAST + ("quadrature", "form-factors", "routes", "hermiticity", "static", "boundary"),
+    "all": _FAST + ("quadrature", "form-factors", "routes", "hermiticity", "static", "boundary",
+                    "finite-box"),
     "oracle": ("permutation", "orthogonality"),
     "oracle-full": ("permutation", "orthogonality", "form-factors", "routes"),
 }

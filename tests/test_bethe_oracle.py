@@ -29,6 +29,7 @@ from bosefredholm.special_integrals import (
     richardson_sequence,
 )
 from bosefredholm.validate import (
+    finite_box_dynamical_error,
     form_factor_error,
     orthogonality_error,
     permutation_identity_error,
@@ -226,16 +227,9 @@ def test_finite_box_approaches_dynamical_route_at_positive_t(kind, x1, x2, t, bo
     # Richardson step 2 v(2L) - v(L) in 1/L lands within 1e-3 (measured
     # 2.3e-4 to 6.8e-4; the box's damping schedule sets a floor near 5e-4);
     # the box carries h, which the dynamical value's exp(-iht) needs
-    from bosefredholm.correlators import PhysicalPoint, correlation_ground
-    from bosefredholm.kernels import ThermalParams
-
-    pt = PhysicalPoint(x1, x2, t, kind, ThermalParams(h=1.0, T=0.0), D=1.0)
-    target = correlation_ground(pt, n=96, with_error=False).value
-    vals = [proposition_determinant(FiniteSystem.ground_state(int(L), L, kind), x1, x2, t,
-                                    lam_max=240.0, h=1.0) for L in (box, 2.0 * box)]
-    gaps = [abs(v - target) for v in vals]
-    assert gaps[1] < 0.6 * gaps[0]
-    assert abs(2.0 * vals[1] - vals[0] - target) <= 1e-3
+    error, ratio = finite_box_dynamical_error((kind,), ((x1, x2, t, box),))
+    assert ratio < 0.6
+    assert error <= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,22 @@ def test_boundary_record_reports_no_damping(tmp_path):
     assert abs(complex(rec["value_re"], rec["value_im"]) - ref) < 1e-12
 
 
+@pytest.mark.parametrize("T", ["0.3", "1"])
+def test_boundary_defaults_match_correlate_at_positive_T(T):
+    # at its defaults b takes --n spectral nodes, which puts the x1=0 route
+    # on the dynamical route at the criterion-5 points (32 nodes left it
+    # 1.4e-3 off at T = 1)
+    for x, t in (("0.2", "0.1"), ("1.1", "0.55"), ("2", "1")):
+        values = []
+        for cmd in (["boundary", "--x", x], ["correlate", "--eps", "+", "--x1", "0", "--x2", x]):
+            code, out = run_cli([*cmd, "--t", t, "--T", T, "--format", "json", "--digits", "17"])
+            assert code == 0
+            rec = json.loads(out)[0]
+            values.append(complex(rec["value_re"], rec["value_im"]))
+        boundary, dynamical = values
+        assert abs(boundary - dynamical) <= 1e-6 * abs(dynamical)
+
+
 def test_boundary_scan_builds_w_once_per_x(tmp_path, monkeypatch):
     # det(1 - (2/pi) W-hat) depends on x alone: a 1 x 3 time scan assembles
     # kernel_W once, and its records equal three single-point runs

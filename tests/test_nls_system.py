@@ -388,8 +388,7 @@ def test_line_grid_node_doubling(cfg, T):
                                       phase_per_panel=LINE_PHASE_PER_PANEL / 2.0,
                                       chirps=line_chirps(cfg))
     assert len(nodes) > len(grid.nodes)
-    fine = LineGrid(nodes, damped_weights(nodes, weights, LAX_POLICY.deltas),
-                    LAX_POLICY.deltas)
+    fine = LineGrid(nodes, weights, LAX_POLICY.deltas)
     b = build_b(cfg, _point(T), n=12, line_grid=grid).b
     b_fine = build_b(cfg, _point(T), n=12, line_grid=fine).b
     assert np.max(np.abs(b - b_fine)) <= 1e-10 * np.max(np.abs(b_fine))
@@ -454,7 +453,8 @@ def test_damped_integrals_equal_mesh_oracle(data, cfg):
     grid = build_line_grid(cfg, _ORACLE_POLICY)
     lam = data.draw(_lam_near_nodes(grid.nodes))
     got = whole_line_integrals(cfg, line_grid=grid).integrals(lam)
-    ref = _damped_integrals_oracle(cfg, lam, grid.nodes, grid.damped)
+    ref = _damped_integrals_oracle(cfg, lam, grid.nodes,
+                                   damped_weights(grid.nodes, grid.weights, grid.deltas))
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
@@ -501,7 +501,7 @@ def test_stencil_b_on_shared_grid_equals_fresh_grid_oracle(cfg, T):
     calls += [(cfg, n, build_b(cfg, pt, n=n, line_grid=grid).b) for n in (8, 6)]
     assert len(calls) == 43
     for c, n, b in calls:
-        fresh = LineGrid(grid.nodes, grid.damped, grid.deltas)
+        fresh = LineGrid(grid.nodes, grid.weights, grid.deltas)
         assert np.array_equal(b, build_b(c, pt, n=n, line_grid=fresh).b)
 
 

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from bosefredholm.special_integrals import (
     RegularizationPolicy,
     damped_limit,
     damped_weights,
+    extrapolated_weights,
     fresnel_kink_integral,
     fresnel_sine_transform,
     gauss_legendre,
@@ -202,6 +203,22 @@ def test_damped_limit_equals_per_delta_loop(case):
     scale = np.abs(vals) @ weights
     assert np.shape(got) == np.shape(expected)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damped_cases())
+@example((np.zeros(2), np.array([3.3 - 3.3 * 2.0 ** -40, 3.3]), np.array([[1.0 + 0j, -1.0]]),
+          RegularizationPolicy(damping=0.3).deltas))
+def test_extrapolated_weights_equal_damped_limit(case):
+    # the Richardson limit folded into the weights is the limit of the
+    # per-delta estimates; both round on the scale of the estimates of
+    # |vals|, which a limit that cancels to ~0 does not bound
+    nodes, weights, vals, deltas = case
+    damped = damped_weights(nodes, weights, deltas)
+    expected = damped_limit(vals, damped)
+    got = vals @ extrapolated_weights(nodes, weights, deltas)
+    assert np.shape(got) == np.shape(expected)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.max(np.abs(vals) @ damped))
 
 
 def test_richardson_consistency_shrinks():
