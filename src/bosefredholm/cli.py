@@ -43,7 +43,7 @@ from .correlators import (
 from .special_integrals import RegularizationPolicy
 
 CSV_HEADER = ("x1,x2,t,T,h,D,eps,value_re,value_im,det_re,det_im,deriv_re,deriv_im,"
-              "err,n,truncation,deltas,flag,runtime_ms")
+              "err,n,n_spectral,truncation,deltas,flag,runtime_ms")
 
 
 class CliError(Exception):
@@ -127,12 +127,13 @@ def _error_flag(exc):
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
-def _point_record(point, n, flag, compute):
+def _point_record(point, n, flag, compute, n_spectral=""):
     """(record, error) of one scan point.
 
     compute() returns (value, det, deriv, err, n, truncation).  A package
     error of the point becomes a record of NaNs flagged with its kind, and
-    is returned beside it; the scan goes on.
+    is returned beside it; the scan goes on.  n_spectral is the spectral
+    node count of a command that has a spectral grid, else empty.
     """
     start = time.perf_counter()
     try:
@@ -150,7 +151,7 @@ def _point_record(point, n, flag, compute):
         "value_re": float(np.real(value)), "value_im": float(np.imag(value)),
         "det_re": float(np.real(det)), "det_im": float(np.imag(det)),
         "deriv_re": float(np.real(deriv)), "deriv_im": float(np.imag(deriv)),
-        "err": err, "n": n, "truncation": trunc,
+        "err": err, "n": n, "n_spectral": n_spectral, "truncation": trunc,
         # the damping schedule the command ran: no record command runs one
         "deltas": "",
         "flag": flag, "runtime_ms": ms,
@@ -240,6 +241,7 @@ def cmd_boundary(args):
     # at T > 0 both grids, the half line of W and the spectral line of b,
     # are cut at thermal_cut(h, T); at T = 0 they are the finite Fermi sea
     trunc = thermal_cut(thermal.h, thermal.T) if thermal.T > 0 else 0.0
+    n_spectral = args.n_spectral or args.n
     for x in parse_range(args.x):
         w_det = None
         for t in parse_range(args.t):
@@ -250,10 +252,10 @@ def cmd_boundary(args):
                 if w_det is None:
                     w_det = boundary_w_det(x, t, pt, n=args.n)
                 return _value_only(correlation_boundary_neumann(
-                    x, t, pt, n=args.n, n_spectral=args.n_spectral, w_det=w_det), args.n, trunc)
+                    x, t, pt, n=args.n, n_spectral=n_spectral, w_det=w_det), args.n, trunc)
 
             results.append(_point_record((0.0, x, t, args.T, args.h, args.D, "+"), args.n, "",
-                                         compute))
+                                         compute, n_spectral))
     return _finish_scan(results, args)
 
 

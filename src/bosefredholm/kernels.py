@@ -314,8 +314,9 @@ def kernel_theta(xi, eta, kind, p, n_panels=60):
 
     For T > 0 the bracket is 2 cos(xi nu) cos(eta nu) (Neumann) or
     2 sin(xi nu) sin(eta nu) (Dirichlet), so the nu-quadrature is a product
-    of factors evaluated on xi and eta separately: an (n, 1) x (1, n) mesh
-    costs O(n m) trig calls for m nodes, not n^2 m.
+    of factors evaluated on xi and eta separately: an (n, 1) x (1, n') mesh
+    costs O(n m) trig calls for m nodes, not n^2 m, and one (n, m) @ (m, n')
+    matrix product.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -325,8 +326,10 @@ def kernel_theta(xi, eta, kind, p, n_panels=60):
     cut = thermal_cut(p.h, p.T)
     nu, w = gauss_panels(0.0, cut, n_panels)
     trig = np.cos if kind.eps > 0 else np.sin
-    out = np.einsum("...k,...k->...", trig(xi[..., None] * nu) * (2.0 * fermi_weight(nu, p) * w),
-                    trig(eta[..., None] * nu))
+    weighted = 2.0 * fermi_weight(nu, p) * w
+    if xi.ndim == eta.ndim == 2 and xi.shape[1] == eta.shape[0] == 1:
+        return (trig(xi * nu) * weighted) @ trig(nu[:, None] * eta)
+    out = np.einsum("...k,...k->...", trig(xi[..., None] * nu) * weighted, trig(eta[..., None] * nu))
     return out if np.ndim(out) else float(out)
 
 

@@ -59,27 +59,6 @@ class FourPointConfig:
         return sum(abs(v) for v in self.t)
 
 
-class ReciprocalMesh:
-    """1/(lam - s) on the broadcast (lam, s) mesh, for difference quotients.
-
-    Entries with |lam - s| < NEAR_DIAGONAL hold 0 in `inv`; `near` marks
-    them and `mid` holds their midpoints (None when there are none), where a
-    difference quotient takes the derivative instead.
-    """
-
-    NEAR_DIAGONAL = 1e-7
-
-    def __init__(self, lam, s):
-        den = np.asarray(np.subtract(lam, s), dtype=float)
-        self.near = np.abs(den) < self.NEAR_DIAGONAL
-        self.inv = np.asarray(1.0 / np.where(self.near, 1.0, den))
-        self.mid = None
-        if np.any(self.near):
-            self.inv[self.near] = 0.0
-            self.mid = np.broadcast_to(0.5 * (np.asarray(lam) + np.asarray(s)),
-                                       den.shape)[self.near]
-
-
 class AuxField:
     """Auxiliary data of one field pair (odd slot a, even slot b).
 
@@ -119,39 +98,28 @@ class AuxField:
             return np.zeros(np.shape(lam), dtype=complex)
         return pv_fresnel_hilbert_dlam(lam, self.dy, self.dt) / (2.0 * math.pi)
 
-    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None, mesh=None, out=None):
-        """(G(lam) - G(s))/(lam - s), diagonal-safe.
+    def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None):
+        """(G(lam) - G(s))/(lam - s) on the broadcast (lam, s) mesh; entries
+        with |lam - s| < NEAR_DIAGONAL take G' at their midpoints.
 
         g_lam, g_s are G already sampled at lam and s; each one not given
-        is evaluated here, once per axis (cheap outer difference).  mesh is
-        the ReciprocalMesh of (lam, s) when already built; its near-diagonal
-        entries take G' at their midpoints.  out is a complex array of the
-        mesh's shape to write the quotient into.
+        is evaluated here, once per axis (cheap outer difference).
         """
         lam = np.asarray(lam, dtype=float)
         s = np.asarray(s, dtype=float)
-        mesh = ReciprocalMesh(lam, s) if mesh is None else mesh
         g_lam = self.hilbert(lam) if g_lam is None else g_lam
         g_s = self.hilbert(s) if g_s is None else g_s
-        out = np.asarray(np.subtract(g_lam, g_s, out=out, dtype=complex))
-        out *= mesh.inv
-        if mesh.mid is not None:
-            if out.ndim == 0:
-                return complex(np.asarray(self.hilbert_deriv(mesh.mid)).ravel()[0])
-            out[mesh.near] = self.hilbert_deriv(mesh.mid)
+        den = np.asarray(lam - s)
+        near = np.abs(den) < NEAR_DIAGONAL
+        out = np.asarray((g_lam - g_s) / np.where(near, 1.0, den), dtype=complex)
+        if np.any(near):
+            out[near] = self.hilbert_deriv(np.broadcast_to(0.5 * (lam + s), den.shape)[near])
         return out
 
-    def e_left(self, lam, g=None):
-        """Row 2-vector e_p^L sampled at lam: shape (..., 2).  g is G at lam
-        when already known."""
-        a = self.row_phase(lam)
-        return np.stack([-a, a * (self.hilbert(lam) if g is None else g)], axis=-1)
-
-    def e_right(self, mu, g=None):
-        """Column 2-vector e_p^R sampled at mu: shape (2, ...).  g is G at mu
-        when already known."""
-        b = (2.0 / math.pi) * self.col_phase(mu)
-        return np.stack([b * (self.hilbert(mu) if g is None else g), b], axis=0)
+    def samples(self, lam):
+        """(row phase, column phase, G, G') on lam: with them e_p^L =
+        row [-1, G] and e_p^R = (2/pi) col [G, 1]."""
+        return self.row_phase(lam), self.col_phase(lam), self.hilbert(lam), self.hilbert_deriv(lam)
 
 
 def build_aux_fields(cfg):
@@ -192,11 +160,34 @@ def adapt_policy(cfg, policy):
 LINE_BASE_WIDTH = 0.5
 LINE_PHASE_PER_PANEL = 16.0
 
+# |lam - s| below which a difference quotient takes G' at the midpoint
+NEAR_DIAGONAL = 1e-7
+# |lam - s| below which a line node's quotient is formed exactly, not split
+# into G(lam) R - R G(s), R = 1/(lam - s).  Each of the cross integral's four
+# R^2 sums rounds to about eps sum_s |c(s)| R^2 ~ eps (w/d^2 + 2/d) past a
+# distance d, w <= d the nearest weight: a loss of about 8 eps/d (measured
+# 5.4e-14 at d = 3.3e-2, 4.5e-15 at 0.2), which NEAR_BAND holds near 1e-14.
+NEAR_BAND = 8.0 * np.finfo(float).eps / 1e-14
+
 
 class _LineGridArrays(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
     deltas: tuple
+
+
+def reciprocal_table(lam, nodes):
+    """([R; R^2], near): R = 1/(lam - s) of the spectral nodes lam against the
+    line nodes s as one real (2 len(lam), len(nodes)) array, zero in the
+    columns near, the indices of the nodes within NEAR_BAND of some lam."""
+    m = len(lam)
+    table = np.empty((2 * m, len(nodes)))
+    den = np.subtract(lam[:, None], nodes[None, :], out=table[:m])
+    near = np.flatnonzero(np.any(np.abs(den) < NEAR_BAND, axis=0))
+    den[:, near] = np.inf
+    R = np.divide(1.0, den, out=den)
+    np.multiply(R, R, out=table[m:])
+    return table, near
 
 
 class LineGrid(_LineGridArrays):
@@ -211,19 +202,18 @@ class LineGrid(_LineGridArrays):
     build_b on it (the stencil of lax_compatibility_residual) shares it: G_p
     sampled on the nodes, by the pair's exact AuxField.key, and the node
     phases col_1 and row_2, by (y_2, t_2) and (y_3, t_3); the
-    ReciprocalMesh of the last spectral node block against the nodes; and
-    the last difference quotient of each pair on that mesh, with their
-    product.  The node vectors live as long as the grid object, which
-    holds one per distinct key it has seen.  Everything it hands out is
-    read-only.
+    reciprocal_table of the last spectral node block against the nodes; and
+    the AuxField.samples of every pair on the last spectral grid.  The node
+    vectors live as long as the grid object, which holds one per distinct
+    key it has seen.  Everything it hands out is read-only.
     """
 
     def __init__(self, nodes, weights, deltas):
         self.extrapolated = extrapolated_weights(nodes, weights, deltas)
         self.extrapolated.flags.writeable = False
         self._vectors = {}
-        self._mesh = None
-        self._slots = [None, None, None]
+        self._table = None
+        self._spectral = None
 
     def _node_vector(self, key, f):
         """f on the nodes, evaluated once per key."""
@@ -243,47 +233,29 @@ class LineGrid(_LineGridArrays):
         return (self._node_vector(("col", a1.yb, a1.tb), a1.col_phase),
                 self._node_vector(("row", a2.ya, a2.ta), a2.row_phase))
 
-    def reciprocal_mesh(self, block):
-        """ReciprocalMesh of the spectral nodes block (shape (m, 1)) against
-        the nodes; kept until another block is asked for."""
-        if self._mesh is None or not np.array_equal(self._mesh[0], block):
-            # one (m, ns) mesh alive at a time, and no quotient of an old one
-            self._mesh = None
-            self._slots = [None, None, None]
-            self._mesh = (np.array(block), ReciprocalMesh(block, self.nodes[None, :]))
-        return self._mesh[1]
+    def reciprocals(self, block):
+        """reciprocal_table of the spectral nodes block against the nodes;
+        kept until another block is asked for."""
+        if self._table is None or not np.array_equal(self._table[0], block):
+            self._table = None      # one table alive at a time
+            table, near = reciprocal_table(block, self.nodes)
+            table.flags.writeable = False
+            self._table = (np.array(block), table, near)
+        return self._table[1:]
 
-    def quotients(self, a1, a2, block, g1_block, g2_block):
-        """(G_p(lam) - G_p(s))/(lam - s) of both pairs on the (block, nodes)
-        mesh, gp_block being G_p at the block, and their product; None for
-        a coincident pair's quotient and then for the product.
-
-        Each is kept in a slot of its own, keyed on its pairs' keys and on
-        the mesh object (held, so compared by identity), which fixes the
-        block.  A changed key re-forms the slot's array in place, so the
-        grid allocates three (block, ns) arrays per mesh, not three per
-        build_b; an array handed out holds until its slot is re-formed.
-        """
-        mesh = self.reciprocal_mesh(block)
-
-        def kept(slot, key, form):
-            held = self._slots[slot]
-            if held is None or held[0] != key or held[1] is not mesh:
-                out = form(None if held is None else held[2])
-                view = out.view()
-                view.flags.writeable = False
-                self._slots[slot] = held = (key, mesh, out, view)
-            return held[3]
-
-        def quotient(slot, aux, g_block):
-            return kept(slot, aux.key, lambda out: aux.hilbert_diffquot(
-                block, self.nodes[None, :], g_block, self.hilbert(aux)[None, :], mesh, out=out))
-
-        dq1 = None if a1.coincident else quotient(0, a1, g1_block)
-        dq2 = None if a2.coincident else quotient(1, a2, g2_block)
-        if dq1 is None or dq2 is None:
-            return dq1, dq2, None
-        return dq1, dq2, kept(2, (a1.key, a2.key), lambda out: np.multiply(dq1, dq2, out=out))
+    def spectral_samples(self, aux, lam):
+        """aux.samples(lam), kept per pair (its slots' y and t) until another
+        lam is asked for: a stencil shift moves one pair, so the other
+        pair's samples serve the shifted configuration."""
+        if self._spectral is None or not np.array_equal(self._spectral[0], lam):
+            self._spectral = (np.array(lam), {})
+        kept = self._spectral[1]
+        key = (aux.ya, aux.ta, aux.yb, aux.tb, aux.coincident_sign)
+        if key not in kept:
+            kept[key] = aux.samples(lam)
+            for v in kept[key]:
+                v.flags.writeable = False
+        return kept[key]
 
 
 def line_chirps(cfg):
@@ -330,27 +302,35 @@ class _WholeLine:
         self.aux = build_aux_fields(cfg)
         self._sampled = None
 
+    def _samples(self, lam):
+        """The AuxField.samples of both pairs on lam."""
+        return [a.samples(lam) for a in self.aux]
+
     def _on(self, lam):
-        """(lam, E vectors, integrals), sampled once per lam grid."""
+        """(lam, pair samples, E vectors, integrals), sampled once per lam grid."""
         if self._sampled is None or not np.array_equal(self._sampled[0], lam):
-            a1, a2 = self.aux
-            g1, g2 = a1.hilbert(lam), a2.hilbert(lam)
-            integrals = compL, compR, _ = self._integrals(lam, g1, g2)
-            EL = np.concatenate([a1.e_left(lam, g1), a2.e_left(lam, g2) + (2.0 / math.pi) * compL],
-                                axis=1)
-            ER = np.concatenate([a1.e_right(lam, g1) + (2.0 / math.pi) * compR,
-                                 a2.e_right(lam, g2)])
-            self._sampled = (np.array(lam), (EL, ER), integrals)
+            pairs = (row1, col1, g1, _), (row2, col2, g2, _) = self._samples(lam)
+            integrals = compL, compR, _ = self._integrals(lam, *pairs)
+            # e_p^L = row_p [-1, G_p] and e_p^R = (2/pi) col_p [G_p, 1]
+            k = 2.0 / math.pi
+            EL = np.stack([-row1, row1 * g1, k * compL[:, 0] - row2, k * compL[:, 1] + row2 * g2],
+                          axis=1)
+            ER = k * np.stack([col1 * g1 + compR[0], col1 + compR[1], col2 * g2, col2])
+            self._sampled = (np.array(lam), pairs, (EL, ER), integrals)
         return self._sampled
+
+    def pair_samples(self, lam):
+        """The AuxField.samples of both pairs on lam."""
+        return self._on(lam)[1]
 
     def e_vectors(self, lam):
         """E^L (n x 4) and E^R (4 x n) on lam (see build_E_vectors)."""
-        return self._on(lam)[1]
+        return self._on(lam)[2]
 
     def integrals(self, lam):
         """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
         cross integral of the M-hat diagonal (n)."""
-        return self._on(lam)[2]
+        return self._on(lam)[3]
 
 
 class _ClosedForm(_WholeLine):
@@ -358,7 +338,7 @@ class _ClosedForm(_WholeLine):
     coincident (G_1 = g1 constant, so K_1 = 0 and the cross integral
     vanishes) and the second equal-time (G_2(s) = g2 exp(-i dy s))."""
 
-    def _integrals(self, mu, g1_mu, g2_mu):
+    def _integrals(self, mu, pair1, pair2):
         """(e_1^R K_2-hat)(mu) in closed form, beside K_1 = 0.
 
         With a = y_1, the integral of col_1(s) row_2(s) (G_2(s) -
@@ -373,7 +353,7 @@ class _ClosedForm(_WholeLine):
         integral = g2 * (pv_fresnel_hilbert(mu, a2.yb - a, T)
                          - np.exp(-1j * a2.dy * mu) * pv_fresnel_hilbert(mu, a2.ya - a, T))
         # e_1^R(s) = (2/pi) col_1(s) [G_1, 1]: col_1 is inside the integral
-        spectral = (2.0 / math.pi) * a2.col_phase(mu) * integral
+        spectral = (2.0 / math.pi) * pair2[1] * integral
         n = len(mu)
         return (np.zeros((n, 2), dtype=complex), np.stack([g1 * spectral, spectral], axis=0),
                 np.zeros(n, dtype=complex))
@@ -390,10 +370,18 @@ class _ClosedForm(_WholeLine):
 
 
 class _LineSamples(_WholeLine):
-    """The whole-line integrals of one configuration damped on a line grid,
-    with what they sample on its nodes once for all of build_b: G_1 and G_2
-    and the node phases (from the grid, which keeps them for every
-    configuration with the same pair or slot) and the weight columns."""
+    """The whole-line integrals of one configuration damped on a line grid.
+
+    Every integrand is c = col_1 row_2 times 1, G_1, G_2 or G_1 G_2, and
+    times the difference quotients dq_p(lam, s) = (G_p(lam) - G_p(s)) R, R =
+    1/(lam - s).  So the node columns V = [c, G_1 c, G_2 c, G_1 G_2 c], c
+    carrying the extrapolated weights, hold all that depends on s alone: the
+    sum over s of dq_p v is G_p(lam) (R v) - R (G_p v), and the cross
+    integral's is G_1 G_2 (R^2 c) - G_1 (R^2 G_2 c) - G_2 (R^2 G_1 c) +
+    R^2 (G_1 G_2 c).  G_p and the phases, on the nodes and on the spectral
+    grid, come from the line grid, which keeps them for every configuration
+    with the same pair or slot.
+    """
 
     def __init__(self, cfg, line_grid):
         super().__init__(cfg)
@@ -401,48 +389,67 @@ class _LineSamples(_WholeLine):
         a1, a2 = self.aux
         self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
         col1, row2 = line_grid.node_phases(a1, a2)
-        # weight columns v(s) * extrapolated weights: dq @ v is the damped,
-        # extrapolated integral of dq * v
-        self.weights_X = wX = col1 * row2 * line_grid.extrapolated
-        self.weights_L = np.stack([-wX, g2 * wX], axis=1)
-        self.weights_R = np.stack([g1 * wX, wX], axis=1) * (2.0 / math.pi)
+        # formed in place: one (ns, 4) array per build_b and no temporaries
+        self.columns = np.empty((self.line_nodes, 4), dtype=complex)
+        c, g1c, g2c, g12c = self.columns.T
+        np.multiply(col1, row2, out=c)
+        c *= line_grid.extrapolated
+        np.multiply(g1, c, out=g1c)
+        np.multiply(g2, c, out=g2c)
+        np.multiply(g1, g2c, out=g12c)
 
-    def _integrals(self, lam, g1lam, g2lam):
-        """The integrals on lam, damped and extrapolated.
+    def _samples(self, lam):
+        return [self.grid.spectral_samples(a, lam) for a in self.aux]
 
-        The line grid forms the difference quotients and their product on
-        its reciprocal mesh 1/(lam - s), one per block of lam, and keeps the
-        last of each for every build_b on it; the s-dependent phases and
-        vector components sit in the weight columns, and the lam-dependent
-        phases multiply the n results.  A coincident pair's K_p vanishes
-        and is skipped.
-        """
+    def _integrals(self, lam, pair1, pair2):
+        """The integrals on lam, damped and extrapolated, from the sums of
+        dq_1 [c, G_2 c], dq_2 [c, G_1 c] and dq_1 dq_2 c over the nodes
+        (_quotient_sums, one block of lam at a time); the lam-dependent
+        phases multiply the n results."""
         a1, a2 = self.aux
-        n = len(lam)
-        sums_L = np.zeros((n, 2), dtype=complex)
-        sums_R = np.zeros((n, 2), dtype=complex)
-        sums_X = np.zeros(n, dtype=complex)
-        # spectral nodes per block: a (block, ns) array holds about 4e6 entries
-        chunk = max(1, 4_000_000 // max(self.line_nodes, 1))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            dq1, dq2, cross = self.grid.quotients(a1, a2, lam[lo:hi, None], g1lam[lo:hi, None],
-                                                  g2lam[lo:hi, None])
-            if dq1 is not None:
-                sums_L[lo:hi] = dq1 @ self.weights_L
-            if dq2 is not None:
-                sums_R[lo:hi] = dq2 @ self.weights_R
-            if cross is not None:
-                sums_X[lo:hi] = cross @ self.weights_X
-        row1, col2 = a1.row_phase(lam), a2.col_phase(lam)
-        return row1[:, None] * sums_L, (col2[:, None] * sums_R).T, row1 * col2 * sums_X
+        (row1, _, g1lam, _), (_, col2, g2lam, _) = pair1, pair2
+        # spectral nodes per block: the (2 block, ns) table holds about 4e6 entries
+        chunk = max(1, 2_000_000 // max(self.line_nodes, 1))
+        blocks = [self._quotient_sums(lam[lo:lo + chunk], g1lam[lo:lo + chunk],
+                                      g2lam[lo:lo + chunk]) for lo in range(0, len(lam), chunk)]
+        sums1, sums2, cross = (np.concatenate(part) for part in zip(*blocks))
+        # a coincident pair's quotients vanish
+        sums1 *= not a1.coincident
+        sums2 *= not a2.coincident
+        cross *= not (a1.coincident or a2.coincident)
+        # K_1-hat e_2^L integrates dq_1 [-c, G_2 c], e_1^R K_2-hat dq_2 (2/pi) [G_1 c, c]
+        return (row1[:, None] * sums1 * [-1.0, 1.0],
+                (2.0 / math.pi) * (col2[:, None] * sums2[:, ::-1]).T, row1 * col2 * cross)
+
+    def _quotient_sums(self, lam, g1lam, g2lam):
+        """Sums over the nodes of dq_1 [c, G_2 c], dq_2 [c, G_1 c] and
+        dq_1 dq_2 c on the spectral nodes lam: one real product of the grid's
+        reciprocal table with V, and the exact quotients of the nodes the
+        table leaves out on their small (lam, near) mesh."""
+        V = self.columns
+        table, near = self.grid.reciprocals(lam)
+        RV, R2V = np.split((table @ V.view(float)).view(complex), 2)
+        g1, g2 = g1lam[:, None], g2lam[:, None]
+        sums1 = g1 * RV[:, [0, 2]] - RV[:, [1, 3]]
+        sums2 = g2 * RV[:, [0, 1]] - RV[:, [2, 3]]
+        cross = g1lam * (g2lam * R2V[:, 0] - R2V[:, 2]) - (g2lam * R2V[:, 1] - R2V[:, 3])
+        if len(near):
+            a1, a2 = self.aux
+            s, Vn = self.grid.nodes[near], V[near]
+            dq1 = a1.hilbert_diffquot(lam[:, None], s, g1, self.g[0][near])
+            dq2 = a2.hilbert_diffquot(lam[:, None], s, g2, self.g[1][near])
+            sums1 += dq1 @ Vn[:, [0, 2]]
+            sums2 += dq2 @ Vn[:, [0, 1]]
+            cross += (dq1 * dq2) @ Vn[:, 0]
+        return sums1, sums2, cross
 
     def q_block(self):
         """-(integral of e_1^R e_2^L), damped: e_1^R e_2^L = (2/pi) col_1 row_2
-        [G_1, 1] (x) [-1, G_2], and weights_L holds col_1 row_2 [-1, G_2]
-        times the extrapolated weights."""
-        rows = np.stack([self.g[0], np.ones_like(self.grid.nodes)])
-        return -(2.0 / math.pi) * (rows @ self.weights_L)
+        [G_1, 1] (x) [-1, G_2], whose four integrals are the column sums of
+        V."""
+        sums = np.ones(self.line_nodes) @ self.columns.view(float)
+        c, g1c, g2c, g12c = sums.view(complex)
+        return -(2.0 / math.pi) * np.array([[-g1c, g12c], [-c, g2c]])
 
 
 def chosen_line_grid(cfg, policy=FINE_POLICY):
@@ -542,7 +549,6 @@ def build_M_operator(whole_line, quadrature, weight_fn=None):
     whole-line integrals (0 when a pair is coincident: the difference
     quotient of a constant G).
     """
-    a1, a2 = whole_line.aux
     lam = quadrature.nodes
     EL, ER = build_E_vectors(whole_line, lam)
     diff = lam[:, None] - lam[None, :]
@@ -550,9 +556,8 @@ def build_M_operator(whole_line, quadrature, weight_fn=None):
     mat = -(math.pi / 2.0) * (EL @ ER) / diff
     # diagonal: -A1 B1 G1' - A2 B2 G2' - (2/pi) * cross integral
     cross = whole_line.integrals(lam)[2]
-    np.fill_diagonal(mat, -a1.row_phase(lam) * a1.col_phase(lam) * a1.hilbert_deriv(lam)
-                     - a2.row_phase(lam) * a2.col_phase(lam) * a2.hilbert_deriv(lam)
-                     - (2.0 / math.pi) * cross)
+    (row1, col1, _, dg1), (row2, col2, _, dg2) = whole_line.pair_samples(lam)
+    np.fill_diagonal(mat, -row1 * col1 * dg1 - row2 * col2 * dg2 - (2.0 / math.pi) * cross)
     return DiscretizedOperator(quadrature=quadrature, matrix=mat, scale=2.0 / math.pi,
                                weight_fn=weight_fn)
 
@@ -596,8 +601,8 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=FINE_POLICY, li
     step; all stencil evaluations share one line grid, built once under the
     policy as given (not adapted), so the quadrature bias differentiates
     smoothly.  A shift moves one pair's (dy, dt), so the grid's G samples of
-    the other pair, its reciprocal mesh and, in the stencil's walk, its
-    difference quotients serve many configurations.
+    the other pair serve many configurations, and its reciprocal table
+    serves all of them.
     Returns a (4, 4) array of per-(j,k) residual norms, maximized over the
     LAX_MUS values.
     """
@@ -640,18 +645,12 @@ def _stencil_shifts(step):
 def _lax_residuals(cfg, ensemble, steps, n, line_grid):
     """The NlsMatrices of cfg on line_grid and the residual matrices of
     lax_compatibility_residual for each of the steps, all from one walk.
-
-    The base configuration is evaluated once for every step.  The walk goes
-    through the configurations sorted by their pairs' keys, so the line
-    grid's quotient slots form each pair's quotient once per run of equal
-    keys: once per distinct pair-1 key and once per distinct pair of keys.
-    """
+    The base configuration is evaluated once for every step."""
     configs = {(): cfg}
     for step in steps:
         for name, (dy, dt) in _stencil_shifts(step).items():
             configs[(step, *name)] = cfg.shifted(dy=dy, dt=dt)
-    walk = sorted(configs, key=lambda name: [a.key for a in build_aux_fields(configs[name])])
-    mats = {name: build_b(configs[name], ensemble, n=n, line_grid=line_grid) for name in walk}
+    mats = {name: build_b(c, ensemble, n=n, line_grid=line_grid) for name, c in configs.items()}
     b = {name: m.b for name, m in mats.items()}
     return mats[()], [_residual_matrix(b, step) for step in steps]
 

@@ -2,9 +2,10 @@
 damped quadrature of whole-line integrals.
 
 Everything oscillatory is defined through Gaussian damping exp(-delta*s^2)
-with Richardson extrapolation delta -> 0.  Closed forms (complex error
-function) are used on the hot paths and are unit-tested against the damped
-quadrature oracles in this module.
+with Richardson extrapolation delta -> 0.  Closed forms (the error function
+on the rays arg z = +-pi/4, from real Fresnel integrals) are used on the hot
+paths and are unit-tested against the damped quadrature oracles in this
+module.
 """
 
 import functools
@@ -12,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import fresnel
 
 from .errors import ConvergenceFailure, DegenerateDelta, InvalidIntegrand, InvalidParameter
 
 SQRT_PI = math.sqrt(math.pi)
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,38 @@ def gaussian_fresnel(x, t):
     return amp * phase * np.exp(-1j * x * x / (4.0 * t))
 
 
+def _ray_fresnel(r):
+    """(C(x), S(x)): the Fresnel integrals at x = r sqrt(2/pi)."""
+    s, c = fresnel(SQRT_2_OVER_PI * np.asarray(r, dtype=float))
+    return c, s
+
+
+def ray_erf(r, sign):
+    """erf(exp(i*sign*pi/4) * r) for real r and sign = +-1.
+
+    On that ray erf is (1 + i sign)(C(x) - i sign S(x)) with x = r sqrt(2/pi)
+    and C, S the Fresnel integrals (DLMF 7.5), so two real functions give
+    it: real part C + S, imaginary part sign (C - S).  Every erf of the
+    Fresnel forms below has its argument on one of these rays.
+    """
+    c, s = _ray_fresnel(r)
+    return (c + s) + (1j * sign) * (c - s)
+
+
+def ray_chirp(r, sign):
+    """exp(-z^2) = exp(-i*sign*r^2) at z = exp(i*sign*pi/4) * r.
+
+    At large r, ray_erf carries a chirp exp(-z^2)/(sqrt(pi) z) that cancels
+    against the exp(-z^2) terms of the forms that take both.  So the phase
+    is taken as the Fresnel integrals take theirs, pi x^2/2 reduced exactly
+    modulo 2 pi, and the chirps cancel to rounding: r^2 rounded in radians
+    would leave about eps r^2.
+    """
+    x = SQRT_2_OVER_PI * np.asarray(r, dtype=float)
+    phase = math.pi * np.remainder(0.5 * x * x, 2.0)
+    return np.cos(phase) - (1j * sign) * np.sin(phase)
+
+
 def fresnel_sine_transform(a, t):
     """PV integral of exp(i*t*u^2 + i*a*u)/u du  (odd part only survives).
 
@@ -82,8 +116,7 @@ def fresnel_sine_transform(a, t):
     if t == 0.0:
         out = 1j * math.pi * np.sign(a)
     else:
-        kappa = np.exp(1j * math.copysign(math.pi / 4.0, t)) / (2.0 * math.sqrt(abs(t)))
-        out = 1j * math.pi * erf(kappa * a)
+        out = 1j * math.pi * ray_erf(a / (2.0 * math.sqrt(abs(t))), math.copysign(1.0, t))
     return out if np.ndim(out) else complex(out)
 
 
@@ -111,16 +144,23 @@ def pv_fresnel_hilbert_dlam(lam, y, t):
         # sign(a) is lam-independent away from the measure-zero kink
         out = (-1j * y) * pre * (1j * math.pi * np.sign(a))
     else:
-        kappa = np.exp(1j * math.copysign(math.pi / 4.0, t)) / (2.0 * math.sqrt(abs(t)))
-        phi = 1j * math.pi * erf(kappa * a)
-        dphi_da = 1j * math.pi * kappa * (2.0 / SQRT_PI) * np.exp(-kappa * kappa * a * a)
+        # phi = i pi erf(kappa a), kappa = exp(i sign pi/4)/root, r = a/root:
+        # its a-derivative carries exp(-kappa^2 a^2) = exp(-z^2)
+        sign, root = math.copysign(1.0, t), 2.0 * math.sqrt(abs(t))
+        r = a / root
+        phi = 1j * math.pi * ray_erf(r, sign)
+        dphi_da = (2j * SQRT_PI / root) * np.exp(1j * sign * math.pi / 4.0) * ray_chirp(r, sign)
         out = pre * ((2j * t * lam - 1j * y) * phi + 2.0 * t * dphi_da)
     return out if np.ndim(out) else complex(out)
 
 
-def erf_antiderivative(z):
-    """Antiderivative of erf: z*erf(z) + exp(-z^2)/sqrt(pi)."""
-    return z * erf(z) + np.exp(-z * z) / SQRT_PI
+def erf_antiderivative(r, sign):
+    """Antiderivative of erf, z*erf(z) + exp(-z^2)/sqrt(pi), on the ray
+    z = exp(i*sign*pi/4) * r, where z*erf(z) = sqrt(2) r (S + i sign C)
+    (ray_erf; ray_chirp for exp(-z^2))."""
+    c, s = _ray_fresnel(r)
+    return (math.sqrt(2.0) * np.asarray(r, dtype=float) * (s + (1j * sign) * c)
+            + ray_chirp(r, sign) / SQRT_PI)
 
 
 def fresnel_kink_integral(a, lam, t, c=0.0):
@@ -134,11 +174,15 @@ def fresnel_kink_integral(a, lam, t, c=0.0):
     """
     if t == 0.0:
         return math.pi * (abs(a) - abs(c)) + 0.0j
-    kappa = np.exp(1j * math.copysign(math.pi / 4.0, t)) / (2.0 * math.sqrt(abs(t)))
+    # k = exp(i sign pi/4)/root, so pi/(2k) = (pi root/2) exp(-i sign pi/4)
+    sign, root = math.copysign(1.0, t), 2.0 * math.sqrt(abs(t))
     b = 2.0 * t * lam
-    pre = np.exp(1j * t * lam * lam) * math.pi / (2.0 * kappa)
-    return pre * ((erf_antiderivative(kappa * (a + b)) - erf_antiderivative(kappa * (c + b)))
-                  + (erf_antiderivative(kappa * (a - b)) - erf_antiderivative(kappa * (c - b))))
+    pre = np.exp(1j * t * lam * lam) * (0.5 * math.pi * root) * np.exp(-1j * sign * math.pi / 4.0)
+
+    def E(u):
+        return erf_antiderivative(u / root, sign)
+
+    return pre * ((E(a + b) - E(c + b)) + (E(a - b) - E(c - b)))
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,26 @@ def test_boundary_record_reports_no_damping(tmp_path):
     assert abs(complex(rec["value_re"], rec["value_im"]) - ref) < 1e-12
 
 
+def test_records_report_the_spectral_nodes_they_used(tmp_path):
+    # boundary reports the spectral node count of b, --n-spectral or else
+    # --n; commands with no spectral grid leave the field empty
+    common = ["--t", "0.4", "--D", "1", "--n", "12", "--format", "json"]
+    for extra, expected in ((["--n-spectral", "8"], 8), ([], 12)):
+        code, out = run_cli(["boundary", "--x", "0.9", *common, *extra])
+        assert code == 0 and json.loads(out)[0]["n_spectral"] == expected
+    code, out = run_cli(["boundary", "--x", "0.9", "--t", "0.4", "--D", "1", "--n", "12",
+                         "--n-spectral", "8"])
+    header, row = out.splitlines()
+    assert header == CSV_HEADER
+    assert row.split(",")[CSV_HEADER.split(",").index("n_spectral")] == "8"
+    for cmd in (["correlate", "--eps", "+", "--x1", "0.4", "--x2", "0.9", *common],
+                ["static", "--eps", "+", "--x1", "0.4", "--x2", "0.9", "--T", "0.5", "--n", "12",
+                 "--format", "json"],
+                ["density", "--T", "1", "--h", "1", "--n", "40", "--format", "json"]):
+        code, out = run_cli(cmd)
+        assert code == 0 and json.loads(out)[0]["n_spectral"] == "", cmd[0]
+
+
 @pytest.mark.parametrize("T", ["0.3", "1"])
 def test_boundary_defaults_match_correlate_at_positive_T(T):
     # at its defaults b takes --n spectral nodes, which puts the x1=0 route

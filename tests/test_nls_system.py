@@ -22,6 +22,7 @@ from bosefredholm.kernels import (
 from bosefredholm.nls_system import (
     LINE_BASE_WIDTH,
     LINE_PHASE_PER_PANEL,
+    NEAR_BAND,
     AuxField,
     FourPointConfig,
     LineGrid,
@@ -81,6 +82,18 @@ def test_aux_hilbert_vs_closed_form():
     assert np.allclose(a.hilbert_deriv(lam), d, atol=1e-6)
 
 
+def e_left(aux, lam, g=None):
+    """Row 2-vector e_p^L = row_phase [-1, G] sampled at lam: shape (..., 2)."""
+    a = aux.row_phase(lam)
+    return np.stack([-a, a * (aux.hilbert(lam) if g is None else g)], axis=-1)
+
+
+def e_right(aux, mu, g=None):
+    """Column 2-vector e_p^R = (2/pi) col_phase [G, 1] sampled at mu: shape (2, ...)."""
+    b = (2.0 / math.pi) * aux.col_phase(mu)
+    return np.stack([b * (aux.hilbert(mu) if g is None else g), b], axis=0)
+
+
 def build_K_p(p_index, cfg, quadrature):
     """Integral operator K_p on a grid; kernel (pi/2) e_p^L(lam) e_p^R(mu)/(lam-mu).
 
@@ -120,8 +133,8 @@ def test_E_vector_bare_components():
     lam = np.linspace(-1.0, 1.0, 7)
     EL, ER = build_E_vectors(whole_line_integrals(cfg, POL3), lam)
     a1, a2 = build_aux_fields(cfg)
-    assert np.allclose(EL[:, :2], a1.e_left(lam), atol=1e-14)
-    assert np.allclose(ER[2:, :], a2.e_right(lam), atol=1e-14)
+    assert np.allclose(EL[:, :2], e_left(a1, lam), atol=1e-14)
+    assert np.allclose(ER[2:, :], e_right(a2, lam), atol=1e-14)
 
 
 def test_E_vector_degenerate_first_pair():
@@ -131,7 +144,7 @@ def test_E_vector_degenerate_first_pair():
     lam = np.linspace(-1.0, 1.0, 6)
     EL, _ = build_E_vectors(whole_line_integrals(cfg, POL3), lam)
     a2 = build_aux_fields(cfg)[1]
-    assert np.allclose(EL[:, 2:], a2.e_left(lam), atol=1e-12)
+    assert np.allclose(EL[:, 2:], e_left(a2, lam), atol=1e-12)
 
 
 def test_E_vector_closed_ode_in_y():
@@ -419,8 +432,8 @@ def _damped_integrals_oracle(cfg, lam, nodes, damped):
     S, D = nodes, damped
     g1S, g2S = a1.hilbert(S), a2.hilbert(S)
     g1lam, g2lam = a1.hilbert(lam), a2.hilbert(lam)
-    e2Ls = a2.e_left(S, g2S)
-    e1Rs = a1.e_right(S, g1S)
+    e2Ls = e_left(a2, S, g2S)
+    e1Rs = e_right(a1, S, g1S)
     dq1 = _diffquot_oracle(a1, lam[:, None], S[None, :], g1lam[:, None], g1S[None, :])
     K1 = a1.row_phase(lam)[:, None] * a1.col_phase(S)[None, :] * dq1
     compL = np.stack([damped_limit(K1 * e2Ls[:, c][None, :], D) for c in range(2)], axis=1)
@@ -457,6 +470,32 @@ def test_damped_integrals_equal_mesh_oracle(data, cfg):
                                    damped_weights(grid.nodes, grid.weights, grid.deltas))
     for g, r in zip(got, ref):
         assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
+
+
+@st.composite
+def _lam_at_band_edge(draw, nodes):
+    """Spectral points at about 0.5, 1, 1.01 and 2 times NEAR_BAND from line
+    nodes, on either side: where the split quotient cancels most."""
+    lam = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = float(nodes[draw(st.integers(0, len(nodes) - 1))])
+        scale = draw(st.sampled_from((0.5, 1.0, 1.01, 2.0))) * draw(st.sampled_from((1.0, -1.0)))
+        lam.append(s + scale * NEAR_BAND * draw(st.floats(0.98, 1.02)))
+    return np.array(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _general_configs(coincident=True))
+def test_split_quotients_equal_mesh_oracle_at_the_near_band(data, cfg):
+    # the nodes past NEAR_BAND take G(lam) R - R G(s), the nearer ones the
+    # exact quotient: either side of the band edge holds the mesh oracle
+    grid = build_line_grid(cfg, _ORACLE_POLICY)
+    lam = data.draw(_lam_at_band_edge(grid.nodes))
+    got = whole_line_integrals(cfg, line_grid=grid).integrals(lam)
+    ref = _damped_integrals_oracle(cfg, lam, grid.nodes,
+                                   damped_weights(grid.nodes, grid.weights, grid.deltas))
+    for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
 
 
@@ -526,6 +565,28 @@ def test_stencil_samples_each_pair_hilbert_once_per_line_grid(monkeypatch):
     assert len(pairs) < 2 * len(calls)
 
 
+def test_stencil_samples_each_pair_once_on_the_spectral_grid(monkeypatch):
+    # a stencil shift moves one pair, so G_p and its derivative run on the
+    # spectral nodes once per distinct pair (slots' y and t) across the 41
+    # configurations, not once per build_b and pair
+    import bosefredholm.nls_system as nls
+    cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
+    grid = build_line_grid(cfg, LAX_POLICY)
+    on_spectral = []
+    samples = nls.AuxField.samples
+
+    def counting(self, lam):
+        on_spectral.append((self.ya, self.ta, self.yb, self.tb))
+        return samples(self, lam)
+
+    monkeypatch.setattr(nls.AuxField, "samples", counting)
+    calls = _stencil(cfg, _point(0.0), grid)
+    pairs = {(a.ya, a.ta, a.yb, a.tb) for c, _ in calls for a in build_aux_fields(c)}
+    assert len(calls) == 41
+    assert sorted(on_spectral) == sorted(pairs)
+    assert len(pairs) < 2 * len(calls)
+
+
 def test_stencil_evaluates_each_node_phase_once_per_line_grid(monkeypatch):
     # col_1 and row_2 run on the line nodes once per distinct (y_2, t_2) and
     # (y_3, t_3) across the 41 stencil configurations, not once per build_b
@@ -555,33 +616,33 @@ def test_stencil_evaluates_each_node_phase_once_per_line_grid(monkeypatch):
     assert len(slots) < 2 * len(calls)
 
 
-def test_stencil_forms_each_quotient_once_per_run_of_pair_keys(monkeypatch):
-    # the stencil walks its configurations sorted by the pairs' keys, and
-    # the line grid keeps the last quotient of each pair: a pair-1 quotient
-    # is formed once per distinct pair-1 key and a pair-2 quotient once per
-    # distinct (pair-1, pair-2) key combination (8 + 18 = 26 here, against
-    # 82 for one per build_b and pair), into at most two arrays
-    import weakref
+def test_stencil_builds_one_reciprocal_table_per_spectral_grid(monkeypatch):
+    # across the 41 stencil configurations the line grid builds the
+    # reciprocal table once for the one spectral grid, and again only for
+    # another one; exact difference quotients are formed only for the few
+    # nodes near a spectral node, never on the whole node axis
     import bosefredholm.nls_system as nls
     # the base configuration of the lax-general benchmark workload
     cfg = FourPointConfig(y=(-0.06, 0.06, 0.0, 0.15), t=(0.025, 0.1, -0.05, 0.175))
     grid = build_line_grid(cfg, LAX_POLICY)
-    original, formed = nls.AuxField.hilbert_diffquot, []
+    ns = len(grid.nodes)
+    built, columns = [], []
+    table, quotient = nls.reciprocal_table, nls.AuxField.hilbert_diffquot
 
-    def alive():
-        return len({id(ref()) for ref in formed if ref() is not None})
+    def counting_table(lam, nodes):
+        built.append(len(lam))
+        return table(lam, nodes)
 
-    def counting(self, lam, s, *args, **kwargs):
-        out = original(self, lam, s, *args, **kwargs)
-        if np.shape(s)[-1] == len(grid.nodes):
-            formed.append(weakref.ref(out))
-            assert alive() <= 2
-        return out
+    def counting_quotient(self, lam, s, *args, **kwargs):
+        columns.append(np.shape(s)[-1])
+        return quotient(self, lam, s, *args, **kwargs)
 
-    monkeypatch.setattr(nls.AuxField, "hilbert_diffquot", counting)
+    monkeypatch.setattr(nls, "reciprocal_table", counting_table)
+    monkeypatch.setattr(nls.AuxField, "hilbert_diffquot", counting_quotient)
     calls = _stencil(cfg, _point(0.0), grid, n=12)
-    keys = [tuple(a.key for a in build_aux_fields(c)) for c, _ in calls]
-    bound = len({k1 for k1, _ in keys}) + len(set(keys))
     assert len(calls) == 41
-    assert 0 < len(formed) <= bound < 2 * len(calls)
-    assert alive() <= 2
+    assert built == [12]
+    assert columns and max(columns) < ns // 10
+    build_b(cfg, _point(0.0), n=10, line_grid=grid)
+    build_b(cfg, _point(0.0), n=12, line_grid=grid)
+    assert built == [12, 10, 12]

@@ -13,6 +13,7 @@ from bosefredholm.special_integrals import (
     RegularizationPolicy,
     damped_limit,
     damped_weights,
+    erf_antiderivative,
     extrapolated_weights,
     fresnel_kink_integral,
     fresnel_sine_transform,
@@ -348,3 +349,52 @@ def test_fresnel_forms_match_mpmath_as_t_vanishes():
                 for g, r, z in zip(got, refs, zs):
                     worst = max(worst, abs(g - r) / (eps * (1.0 + z) * (1.0 + abs(r))))
     assert worst <= 32.0, worst
+
+
+def test_fresnel_forms_match_mpmath_at_small_argument():
+    # near z = 0 the Fresnel form of erf is exact to rounding, while the
+    # complex erf is 2.6e-14 relative off at |z| = 1e-2; lam = 0 keeps the
+    # arguments exact, so the three erf forms are held to a few eps over
+    # |z| = 1e-6 .. 0.3, both signs of t and of the argument
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for sign in (1.0, -1.0):
+        for t in sign * np.array([1e-4, 1e-2, 0.3, 1.0, 10.0]):
+            root = 2.0 * math.sqrt(abs(t))
+            for z in 10.0 ** rng.uniform(-6.0, math.log10(0.3), 6) * rng.choice((-1.0, 1.0), 6):
+                a = z * root
+                ref_sine, _, ref_dlam = _mp_fresnel_forms(a, 0.0, -a, t)
+                with mp.workdps(40):
+                    ref_anti = complex(_mp_erf_antiderivative(
+                        mp.expj(mp.pi / 4 * sign) * mp.mpf(z)))
+                for got, ref in ((fresnel_sine_transform(a, t), ref_sine),
+                                 (pv_fresnel_hilbert_dlam(0.0, -a, t), ref_dlam),
+                                 (erf_antiderivative(z, sign), ref_anti)):
+                    worst = max(worst, abs(got - ref) / (eps * abs(ref)))
+    assert worst <= 4.0, worst
+
+
+def test_ray_chirps_cancel_at_large_argument():
+    # at large r, z erf(z) and exp(-z^2)/sqrt(pi) carry opposite chirps of
+    # size 1/sqrt(pi); with the phase of exp(-z^2) reduced as the Fresnel
+    # integrals reduce theirs they cancel to rounding, where r^2 rounded in
+    # radians leaves eps r^2 (36 eps r median at r ~ 100 .. 1000 for the
+    # complex erf).  d/dlam of the Hilbert transform cancels the same way
+    # as t -> 0 (1.9e-14 relative median at |t| ~ 1e-6 for the complex erf).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(13)
+    worst_anti = worst_dlam = 0.0
+    for r in 10.0 ** rng.uniform(0.0, 3.0, 24) * rng.choice((-1.0, 1.0), 24):
+        sign = float(rng.choice((-1.0, 1.0)))
+        with mp.workdps(40):
+            ref = complex(_mp_erf_antiderivative(mp.expj(mp.pi / 4 * sign) * mp.mpf(r)))
+        worst_anti = max(worst_anti, abs(erf_antiderivative(r, sign) - ref) / (eps * abs(r)))
+    for decade in range(7):
+        for sign in (1.0, -1.0):
+            t = sign * 10.0 ** -decade * rng.uniform(1.0, 3.0)
+            lam, y = rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0)
+            ref = _mp_fresnel_forms(0.0, lam, y, t)[2]
+            worst_dlam = max(worst_dlam, abs(pv_fresnel_hilbert_dlam(lam, y, t) - ref) / abs(ref))
+    assert worst_anti <= 4.0, worst_anti
+    assert worst_dlam <= 32.0 * eps, worst_dlam
