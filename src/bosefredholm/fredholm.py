@@ -160,12 +160,6 @@ def fredholm_det(op):
     return _factor(op)[2]
 
 
-def resolvent_apply(op, rhs):
-    """Solve (I - scale*K-hat) u = rhs at the nodes (one refinement step)."""
-    factors, mat, _ = _factor(op)
-    return _solve(factors, mat, rhs)
-
-
 @dataclass(frozen=True)
 class RankOnePerturbation:
     """alpha * eps * f(lam) g(mu) perturbation sampled at the nodes.

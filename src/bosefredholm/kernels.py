@@ -113,6 +113,12 @@ def _pv_terms(lam, mu, x1, x2):
             (-1.0, el, em))
 
 
+# |lam - mu| below which kernel_L takes each H difference quotient as a
+# mean of H': the quotient as it stands loses about 1e-16/|lam - mu| to
+# cancellation, the two-point mean about (lam - mu)^4 H^(5)/4320
+NEAR_DIAGONAL = 1e-4
+
+
 def kernel_L(lam, mu, g):
     """Dynamical two-position kernel L(lam, mu); broadcasts over lam/mu.
 
@@ -148,14 +154,14 @@ def _kernel_L_entries(lam, mu, h_lam, h_mu, g):
 
     gauge * (brace + (2/pi) pv) / (lam - mu) with the brace's sines taken
     at lam - mu.  Entries with |lam - mu| < 1e-12 take the analytic
-    diagonal kernel_L_diag; entries with 1e-12 <= |lam - mu| < 1e-6 take
-    each difference quotient of H as the derivative at the midpoint
+    diagonal kernel_L_diag; entries with 1e-12 <= |lam - mu| < NEAR_DIAGONAL
+    take each difference quotient of H as the mean of H' over [mu, lam]
     (_kernel_L_near_diag).
     """
     x1, x2, t = g.x1, g.x2, g.t
     d = lam - mu
     diag = np.abs(d) < 1e-12
-    near = ~diag & (np.abs(d) < 1e-6)
+    near = ~diag & (np.abs(d) < NEAR_DIAGONAL)
     d = np.where(diag, 1.0, d)
     brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
              + np.exp(1j * t * mu * mu) * np.sin(x2 * d))
@@ -173,19 +179,23 @@ def _kernel_L_entries(lam, mu, h_lam, h_mu, g):
 
 
 def _kernel_L_near_diag(lam, mu, g):
-    """kernel_L (t != 0) at 1e-12 <= |lam - mu| < 1e-6, on node vectors.
+    """kernel_L (t != 0) at 1e-12 <= |lam - mu| < NEAR_DIAGONAL, on node
+    vectors.
 
     (H(mu) - H(lam))/(lam - mu) there loses about 1e-16/|lam - mu| to
-    cancellation; -H'((lam + mu)/2) equals it up to O((lam - mu)^2).
+    cancellation.  It is minus the mean of H' over [mu, lam], which the
+    two-point Gauss-Legendre rule gives up to (lam - mu)^4 H^(5)/4320.
     """
     x1, x2, t = g.x1, g.x2, g.t
     d = lam - mu
     mid = 0.5 * (lam + mu)
+    gauss = np.stack([mid - d / (2.0 * math.sqrt(3.0)), mid + d / (2.0 * math.sqrt(3.0))])
     brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
              + np.exp(1j * t * mu * mu) * np.sin(x2 * d)) / d
     pv = 0.0j
     for (sgn, lp, mp), y in zip(_pv_terms(lam, mu, x1, x2), _hilbert_shifts(x1, x2)):
-        pv = pv - sgn * 0.25 * (lp * mp) * pv_fresnel_hilbert_dlam(mid, y, t)
+        lo, hi = pv_fresnel_hilbert_dlam(gauss, y, t)
+        pv = pv - sgn * 0.25 * (lp * mp) * (0.5 * (lo + hi))
     return np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv)
 
 

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDelta
+from .errors import DegenerateDelta, NumericalFailure
 from .fredholm import DiscretizedOperator, build_grid, thermal_cut
 from .kernels import fermi_weight
 from .special_integrals import (
@@ -19,8 +19,6 @@ from .special_integrals import (
     pv_fresnel_hilbert,
     pv_fresnel_hilbert_dlam,
 )
-
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 # (P_j)_{l,m} = i * delta_{l,j} * delta_{m,j}
 P_MATRICES = tuple(1j * np.outer(np.eye(4)[j], np.eye(4)[j]) for j in range(4))
@@ -177,16 +175,19 @@ class _LineGridArrays(NamedTuple):
 
 
 def reciprocal_table(lam, nodes):
-    """([R; R^2], near): R = 1/(lam - s) of the spectral nodes lam against the
-    line nodes s as one real (2 len(lam), len(nodes)) array, zero in the
-    columns near, the indices of the nodes within NEAR_BAND of some lam."""
+    """([R; R^2; 1], near): R = 1/(lam - s) of the spectral nodes lam against
+    the line nodes s and a row of ones, as one real (2 len(lam) + 1,
+    len(nodes)) array, zero in the columns near, the indices of the nodes
+    within NEAR_BAND of some lam.  The row of ones gives column sums."""
     m = len(lam)
-    table = np.empty((2 * m, len(nodes)))
+    table = np.empty((2 * m + 1, len(nodes)))
     den = np.subtract(lam[:, None], nodes[None, :], out=table[:m])
-    near = np.flatnonzero(np.any(np.abs(den) < NEAR_BAND, axis=0))
+    # |den| in the rows R^2 takes below, not in a temporary
+    near = np.flatnonzero(np.any(np.abs(den, out=table[m:2 * m]) < NEAR_BAND, axis=0))
     den[:, near] = np.inf
     R = np.divide(1.0, den, out=den)
-    np.multiply(R, R, out=table[m:])
+    np.multiply(R, R, out=table[m:2 * m])
+    table[2 * m] = 1.0
     return table, near
 
 
@@ -196,66 +197,12 @@ class LineGrid(_LineGridArrays):
     `extrapolated` holds their extrapolated_weights, formed once: every
     damped whole-line integral on the grid is one contraction against it,
     which gives the Richardson limit without forming the per-delta
-    estimates.
-
-    The grid also keeps what depends on it and on the pairs alone, so every
-    build_b on it (the stencil of lax_compatibility_residual) shares it: G_p
-    sampled on the nodes, by the pair's exact AuxField.key, and the node
-    phases col_1 and row_2, by (y_2, t_2) and (y_3, t_3); the
-    reciprocal_table of the last spectral node block against the nodes; and
-    the AuxField.samples of every pair on the last spectral grid.  The node
-    vectors live as long as the grid object, which holds one per distinct
-    key it has seen.  Everything it hands out is read-only.
+    estimates.  It is read-only.
     """
 
     def __init__(self, nodes, weights, deltas):
         self.extrapolated = extrapolated_weights(nodes, weights, deltas)
         self.extrapolated.flags.writeable = False
-        self._vectors = {}
-        self._table = None
-        self._spectral = None
-
-    def _node_vector(self, key, f):
-        """f on the nodes, evaluated once per key."""
-        if key not in self._vectors:
-            v = f(self.nodes)
-            v.flags.writeable = False
-            self._vectors[key] = v
-        return self._vectors[key]
-
-    def hilbert(self, aux):
-        """G_p of the pair aux on the nodes."""
-        return self._node_vector(("G", *aux.key), aux.hilbert)
-
-    def node_phases(self, a1, a2):
-        """col_1 and row_2 on the nodes: the phase of every whole-line
-        integrand is their product."""
-        return (self._node_vector(("col", a1.yb, a1.tb), a1.col_phase),
-                self._node_vector(("row", a2.ya, a2.ta), a2.row_phase))
-
-    def reciprocals(self, block):
-        """reciprocal_table of the spectral nodes block against the nodes;
-        kept until another block is asked for."""
-        if self._table is None or not np.array_equal(self._table[0], block):
-            self._table = None      # one table alive at a time
-            table, near = reciprocal_table(block, self.nodes)
-            table.flags.writeable = False
-            self._table = (np.array(block), table, near)
-        return self._table[1:]
-
-    def spectral_samples(self, aux, lam):
-        """aux.samples(lam), kept per pair (its slots' y and t) until another
-        lam is asked for: a stencil shift moves one pair, so the other
-        pair's samples serve the shifted configuration."""
-        if self._spectral is None or not np.array_equal(self._spectral[0], lam):
-            self._spectral = (np.array(lam), {})
-        kept = self._spectral[1]
-        key = (aux.ya, aux.ta, aux.yb, aux.tb, aux.coincident_sign)
-        if key not in kept:
-            kept[key] = aux.samples(lam)
-            for v in kept[key]:
-                v.flags.writeable = False
-        return kept[key]
 
 
 def line_chirps(cfg):
@@ -289,48 +236,68 @@ def _plane_wave_amplitude(aux):
     return -0.5j * sign
 
 
+def _distinct(items, key):
+    """(first, index): the position in items of the first item of each
+    distinct key(item), and the row of every item among those."""
+    rows, first, index = {}, [], []
+    for i, item in enumerate(items):
+        k = key(item)
+        if k not in rows:
+            rows[k] = len(first)
+            first.append(i)
+        index.append(rows[k])
+    return first, np.array(index, dtype=int)
+
+
+class _Sampled(NamedTuple):
+    """The whole-line integrals of a stack of K configurations on n spectral
+    nodes, leading axis K: `pairs` the AuxField.samples (row, col, G, G')
+    of both pairs as a (2, 4, K, n) array; E^L (K, n, 4) and E^R (K, 4, n)
+    (see build_E_vectors); (K1-hat e_2^L) (K, n, 2), (e_1^R K2-hat) (K, 2,
+    n) and the cross integral of the M-hat diagonal (K, n); and the
+    integral block of Q (K, 2, 2)."""
+
+    pairs: np.ndarray
+    EL: np.ndarray
+    ER: np.ndarray
+    compL: np.ndarray
+    compR: np.ndarray
+    cross: np.ndarray
+    q: np.ndarray
+
+
 class _WholeLine:
-    """The whole-line integrals of one configuration as its builders read
-    them: E vectors and integrals sampled once per spectral grid, the Q
-    block, and the line grid (None, 0 nodes and () for closed forms)."""
+    """The whole-line integrals of a stack of configurations as their
+    builders read them, and the line grid (None, 0 nodes and () for closed
+    forms).  Whatever two configurations share is evaluated once per stack:
+    each distinct pair's AuxField.samples on the spectral grid here, and
+    the node vectors of the damped integrals in _LineSamples."""
 
     grid = None
     line_nodes = 0
     deltas = ()
 
-    def __init__(self, cfg):
-        self.aux = build_aux_fields(cfg)
-        self._sampled = None
+    def __init__(self, cfgs):
+        self.aux = [build_aux_fields(c) for c in cfgs]
 
-    def _samples(self, lam):
-        """The AuxField.samples of both pairs on lam."""
-        return [a.samples(lam) for a in self.aux]
-
-    def _on(self, lam):
-        """(lam, pair samples, E vectors, integrals), sampled once per lam grid."""
-        if self._sampled is None or not np.array_equal(self._sampled[0], lam):
-            pairs = (row1, col1, g1, _), (row2, col2, g2, _) = self._samples(lam)
-            integrals = compL, compR, _ = self._integrals(lam, *pairs)
-            # e_p^L = row_p [-1, G_p] and e_p^R = (2/pi) col_p [G_p, 1]
-            k = 2.0 / math.pi
-            EL = np.stack([-row1, row1 * g1, k * compL[:, 0] - row2, k * compL[:, 1] + row2 * g2],
-                          axis=1)
-            ER = k * np.stack([col1 * g1 + compR[0], col1 + compR[1], col2 * g2, col2])
-            self._sampled = (np.array(lam), pairs, (EL, ER), integrals)
-        return self._sampled
-
-    def pair_samples(self, lam):
-        """The AuxField.samples of both pairs on lam."""
-        return self._on(lam)[1]
-
-    def e_vectors(self, lam):
-        """E^L (n x 4) and E^R (4 x n) on lam (see build_E_vectors)."""
-        return self._on(lam)[2]
-
-    def integrals(self, lam):
-        """(K1-hat e_2^L)(lam) (n x 2), (e_1^R K2-hat)(lam) (2 x n) and the
-        cross integral of the M-hat diagonal (n)."""
-        return self._on(lam)[3]
+    def on(self, lam):
+        """The stack's _Sampled on the spectral nodes lam."""
+        lam = np.asarray(lam, dtype=float)
+        flat = [a for pair in self.aux for a in pair]
+        first, index = _distinct(flat, lambda a: (a.ya, a.ta, a.yb, a.tb, a.coincident_sign))
+        spec = np.array([flat[i].samples(lam) for i in first], dtype=complex)[index]
+        pairs = spec.reshape(len(self.aux), 2, 4, len(lam)).transpose(1, 2, 0, 3)
+        (row1, col1, g1, _), (row2, col2, g2, _) = pairs
+        compL, compR, cross, q = self._integrals(lam, flat, spec)
+        # e_p^L = row_p [-1, G_p] and e_p^R = (2/pi) col_p [G_p, 1]
+        k = 2.0 / math.pi
+        EL = np.empty((len(self.aux), len(lam), 4), dtype=complex)
+        ER = np.empty((len(self.aux), 4, len(lam)), dtype=complex)
+        EL[..., 0], EL[..., 1] = -row1, row1 * g1
+        EL[..., 2], EL[..., 3] = k * compL[..., 0] - row2, k * compL[..., 1] + row2 * g2
+        ER[:, 0], ER[:, 1] = k * (col1 * g1 + compR[:, 0]), k * (col1 + compR[:, 1])
+        ER[:, 2], ER[:, 3] = k * (col2 * g2), k * col2
+        return _Sampled(pairs, EL, ER, compL, compR, cross, q)
 
 
 class _ClosedForm(_WholeLine):
@@ -338,118 +305,124 @@ class _ClosedForm(_WholeLine):
     coincident (G_1 = g1 constant, so K_1 = 0 and the cross integral
     vanishes) and the second equal-time (G_2(s) = g2 exp(-i dy s))."""
 
-    def _integrals(self, mu, pair1, pair2):
-        """(e_1^R K_2-hat)(mu) in closed form, beside K_1 = 0.
+    def _integrals(self, mu, flat, spec):
+        """(e_1^R K_2-hat)(mu) and the integral block of Q in closed form,
+        beside K_1 = 0.
 
         With a = y_1, the integral of col_1(s) row_2(s) (G_2(s) -
         G_2(mu))/(s - mu) over s is g2 [H(mu; y_4 - a, T) - exp(-i dy mu)
         H(mu; y_3 - a, T)], T = t_3 - t_1, H = pv_fresnel_hilbert: each part
         is a Gaussian Hilbert transform, and their difference is regular at
-        s = mu.
+        s = mu.  The Q block is -(integral of e_1^R e_2^L): col_1 row_2 =
+        exp(i T s^2 - i (y_3 - a) s) and G_2 = g2 exp(-i dy s), so both
+        integrals are 2 pi gaussian_fresnel.
         """
-        a1, a2 = self.aux
-        a, T = a1.ya, a2.ta - a1.ta
-        g1, g2 = _plane_wave_amplitude(a1), _plane_wave_amplitude(a2)
-        integral = g2 * (pv_fresnel_hilbert(mu, a2.yb - a, T)
-                         - np.exp(-1j * a2.dy * mu) * pv_fresnel_hilbert(mu, a2.ya - a, T))
-        # e_1^R(s) = (2/pi) col_1(s) [G_1, 1]: col_1 is inside the integral
-        spectral = (2.0 / math.pi) * pair2[1] * integral
-        n = len(mu)
-        return (np.zeros((n, 2), dtype=complex), np.stack([g1 * spectral, spectral], axis=0),
-                np.zeros(n, dtype=complex))
-
-    def q_block(self):
-        """-(integral of e_1^R e_2^L): col_1 row_2 = exp(i T s^2 - i (y_3 - a) s)
-        and G_2 = g2 exp(-i dy s), so both integrals are 2 pi gaussian_fresnel;
-        e_1^R = (2/pi) col_1 [G_1, 1]."""
-        a1, a2 = self.aux
-        a, T = a1.ya, a2.ta - a1.ta
-        row = 2.0 * math.pi * gaussian_fresnel(a2.ya - a, T)
-        row_g = _plane_wave_amplitude(a2) * 2.0 * math.pi * gaussian_fresnel(a2.yb - a, T)
-        return -(2.0 / math.pi) * np.outer([_plane_wave_amplitude(a1), 1.0], [-row, row_g])
+        K, n = len(self.aux), len(mu)
+        compR = np.empty((K, 2, n), dtype=complex)
+        q = np.empty((K, 2, 2), dtype=complex)
+        for k, (a1, a2) in enumerate(self.aux):
+            a, T = a1.ya, a2.ta - a1.ta
+            g1, g2 = _plane_wave_amplitude(a1), _plane_wave_amplitude(a2)
+            integral = g2 * (pv_fresnel_hilbert(mu, a2.yb - a, T)
+                             - np.exp(-1j * a2.dy * mu) * pv_fresnel_hilbert(mu, a2.ya - a, T))
+            # e_1^R(s) = (2/pi) col_1(s) [G_1, 1]: col_1 is inside the integral
+            spectral = (2.0 / math.pi) * spec[2 * k + 1, 1] * integral
+            compR[k] = g1 * spectral, spectral
+            row = 2.0 * math.pi * gaussian_fresnel(a2.ya - a, T)
+            row_g = g2 * 2.0 * math.pi * gaussian_fresnel(a2.yb - a, T)
+            q[k] = -(2.0 / math.pi) * np.outer([g1, 1.0], [-row, row_g])
+        return np.zeros((K, n, 2), dtype=complex), compR, np.zeros((K, n), dtype=complex), q
 
 
 class _LineSamples(_WholeLine):
-    """The whole-line integrals of one configuration damped on a line grid.
+    """The whole-line integrals of a stack of configurations damped on one
+    line grid.
 
     Every integrand is c = col_1 row_2 times 1, G_1, G_2 or G_1 G_2, and
     times the difference quotients dq_p(lam, s) = (G_p(lam) - G_p(s)) R, R =
     1/(lam - s).  So the node columns V = [c, G_1 c, G_2 c, G_1 G_2 c], c
     carrying the extrapolated weights, hold all that depends on s alone: the
-    sum over s of dq_p v is G_p(lam) (R v) - R (G_p v), and the cross
+    sum over s of dq_p v is G_p(lam) (R v) - R (G_p v), the cross
     integral's is G_1 G_2 (R^2 c) - G_1 (R^2 G_2 c) - G_2 (R^2 G_1 c) +
-    R^2 (G_1 G_2 c).  G_p and the phases, on the nodes and on the spectral
-    grid, come from the line grid, which keeps them for every configuration
-    with the same pair or slot.
+    R^2 (G_1 G_2 c), and the Q block's four integrals are the column sums
+    of V.
     """
 
-    def __init__(self, cfg, line_grid):
-        super().__init__(cfg)
+    def __init__(self, cfgs, line_grid):
+        super().__init__(cfgs)
         self.grid, self.line_nodes, self.deltas = line_grid, len(line_grid.nodes), line_grid.deltas
-        a1, a2 = self.aux
-        self.g = g1, g2 = line_grid.hilbert(a1), line_grid.hilbert(a2)
-        col1, row2 = line_grid.node_phases(a1, a2)
-        # formed in place: one (ns, 4) array per build_b and no temporaries
-        self.columns = np.empty((self.line_nodes, 4), dtype=complex)
-        c, g1c, g2c, g12c = self.columns.T
-        np.multiply(col1, row2, out=c)
-        c *= line_grid.extrapolated
-        np.multiply(g1, c, out=g1c)
-        np.multiply(g2, c, out=g2c)
-        np.multiply(g1, g2c, out=g12c)
 
-    def _samples(self, lam):
-        return [self.grid.spectral_samples(a, lam) for a in self.aux]
-
-    def _integrals(self, lam, pair1, pair2):
-        """The integrals on lam, damped and extrapolated, from the sums of
-        dq_1 [c, G_2 c], dq_2 [c, G_1 c] and dq_1 dq_2 c over the nodes
-        (_quotient_sums, one block of lam at a time); the lam-dependent
-        phases multiply the n results."""
-        a1, a2 = self.aux
-        (row1, _, g1lam, _), (_, col2, g2lam, _) = pair1, pair2
-        # spectral nodes per block: the (2 block, ns) table holds about 4e6 entries
-        chunk = max(1, 2_000_000 // max(self.line_nodes, 1))
-        blocks = [self._quotient_sums(lam[lo:lo + chunk], g1lam[lo:lo + chunk],
-                                      g2lam[lo:lo + chunk]) for lo in range(0, len(lam), chunk)]
-        sums1, sums2, cross = (np.concatenate(part) for part in zip(*blocks))
+    def _integrals(self, lam, flat, spec):
+        """The integrals on lam, damped and extrapolated.  G_p on the nodes
+        is evaluated once per distinct AuxField.key, col_1 and row_2 once per
+        distinct (y_2, t_2) and (y_3, t_3).  Each configuration forms its V
+        in one reused buffer and multiplies it by reciprocal_table, one block
+        of lam at a time, and the near nodes' exact quotients by their
+        columns of V; the sums are then formed for the whole stack at once
+        (_quotient_sums)."""
+        nodes, w, K = self.grid.nodes, self.grid.extrapolated, len(self.aux)
+        gfirst, gi = _distinct(flat, lambda a: a.key)
+        G = [flat[i].hilbert(nodes) for i in gfirst]
+        cfirst, ci = _distinct(flat[0::2], lambda a: (a.yb, a.tb))
+        col = [flat[2 * i].col_phase(nodes) for i in cfirst]
+        rfirst, ri = _distinct(flat[1::2], lambda a: (a.ya, a.ta))
+        row = [flat[2 * i + 1].row_phase(nodes) for i in rfirst]
+        V = np.empty((len(nodes), 4), dtype=complex)
+        c, g1c, g2c, g12c = V.T
+        # spectral nodes per block: the (2 block + 1, ns) table holds about 4e6 entries
+        chunk = max(1, 2_000_000 // max(len(nodes), 1))
+        blocks = []
+        for lo in range(0, max(len(lam), 1), chunk):
+            block = lam[lo:lo + chunk]
+            table, near = reciprocal_table(block, nodes)
+            g = spec[:, 2, lo:lo + chunk]
+            # the exact quotients of the near nodes, once per distinct pair key
+            dq = [flat[i].hilbert_diffquot(block[:, None], nodes[near], g[i][:, None], G[j][near])
+                  for j, i in enumerate(gfirst)] if len(near) else []
+            prod = np.empty((K, len(table), 4), dtype=complex)
+            exact = np.zeros((K, 3 * len(block), 4), dtype=complex)
+            for k in range(K):
+                g1, g2 = G[gi[2 * k]], G[gi[2 * k + 1]]
+                np.multiply(col[ci[k]], row[ri[k]], out=c)
+                c *= w
+                np.multiply(g1, c, out=g1c)
+                np.multiply(g2, c, out=g2c)
+                np.multiply(g1, g2c, out=g12c)
+                np.matmul(table, V.view(float), out=prod[k].view(float))
+                if dq:
+                    dq1, dq2 = dq[gi[2 * k]], dq[gi[2 * k + 1]]
+                    np.matmul(np.concatenate([dq1, dq2, dq1 * dq2]), V[near], out=exact[k])
+            blocks.append(_quotient_sums(prod, exact, g[0::2], g[1::2]))
+        sums1, sums2, cross = (np.concatenate(part, axis=1) for part in zip(*blocks))
         # a coincident pair's quotients vanish
-        sums1 *= not a1.coincident
-        sums2 *= not a2.coincident
-        cross *= not (a1.coincident or a2.coincident)
+        co1, co2 = (np.array([a.coincident for a in flat[p::2]]) for p in (0, 1))
+        sums1 *= ~co1[:, None, None]
+        sums2 *= ~co2[:, None, None]
+        cross *= ~(co1 | co2)[:, None]
+        row1, col2 = spec[0::2, 0], spec[1::2, 1]
         # K_1-hat e_2^L integrates dq_1 [-c, G_2 c], e_1^R K_2-hat dq_2 (2/pi) [G_1 c, c]
-        return (row1[:, None] * sums1 * [-1.0, 1.0],
-                (2.0 / math.pi) * (col2[:, None] * sums2[:, ::-1]).T, row1 * col2 * cross)
+        compL = row1[..., None] * sums1 * [-1.0, 1.0]
+        compR = (2.0 / math.pi) * (col2[..., None] * sums2[..., ::-1]).transpose(0, 2, 1)
+        c, g1c, g2c, g12c = prod[:, -1].T
+        # -(integral of e_1^R e_2^L): e_1^R e_2^L = (2/pi) col_1 row_2 [G_1, 1] (x) [-1, G_2]
+        q = -(2.0 / math.pi) * np.array([[-g1c, g12c], [-c, g2c]]).transpose(2, 0, 1)
+        return compL, compR, row1 * col2 * cross, q
 
-    def _quotient_sums(self, lam, g1lam, g2lam):
-        """Sums over the nodes of dq_1 [c, G_2 c], dq_2 [c, G_1 c] and
-        dq_1 dq_2 c on the spectral nodes lam: one real product of the grid's
-        reciprocal table with V, and the exact quotients of the nodes the
-        table leaves out on their small (lam, near) mesh."""
-        V = self.columns
-        table, near = self.grid.reciprocals(lam)
-        RV, R2V = np.split((table @ V.view(float)).view(complex), 2)
-        g1, g2 = g1lam[:, None], g2lam[:, None]
-        sums1 = g1 * RV[:, [0, 2]] - RV[:, [1, 3]]
-        sums2 = g2 * RV[:, [0, 1]] - RV[:, [2, 3]]
-        cross = g1lam * (g2lam * R2V[:, 0] - R2V[:, 2]) - (g2lam * R2V[:, 1] - R2V[:, 3])
-        if len(near):
-            a1, a2 = self.aux
-            s, Vn = self.grid.nodes[near], V[near]
-            dq1 = a1.hilbert_diffquot(lam[:, None], s, g1, self.g[0][near])
-            dq2 = a2.hilbert_diffquot(lam[:, None], s, g2, self.g[1][near])
-            sums1 += dq1 @ Vn[:, [0, 2]]
-            sums2 += dq2 @ Vn[:, [0, 1]]
-            cross += (dq1 * dq2) @ Vn[:, 0]
-        return sums1, sums2, cross
 
-    def q_block(self):
-        """-(integral of e_1^R e_2^L), damped: e_1^R e_2^L = (2/pi) col_1 row_2
-        [G_1, 1] (x) [-1, G_2], whose four integrals are the column sums of
-        V."""
-        sums = np.ones(self.line_nodes) @ self.columns.view(float)
-        c, g1c, g2c, g12c = sums.view(complex)
-        return -(2.0 / math.pi) * np.array([[-g1c, g12c], [-c, g2c]])
+def _quotient_sums(prod, exact, g1, g2):
+    """Sums over the nodes of dq_1 [c, G_2 c], dq_2 [c, G_1 c] and dq_1 dq_2 c
+    on a block of m spectral nodes, for a stack of K configurations, from
+    G_p on the block, g_p (K, m): split from prod = [R; R^2; 1] V (K, 2m +
+    1, 4), plus exact = [dq_1; dq_2; dq_1 dq_2] V (K, 3m, 4) on the nodes
+    the reciprocal table leaves out."""
+    m = g1.shape[1]
+    RV, R2V = prod[:, :m], prod[:, m:2 * m]
+    X1, X2, X12 = exact[:, :m], exact[:, m:2 * m], exact[:, 2 * m:]
+    sums1 = g1[..., None] * RV[..., [0, 2]] - RV[..., [1, 3]] + X1[..., [0, 2]]
+    sums2 = g2[..., None] * RV[..., [0, 1]] - RV[..., [2, 3]] + X2[..., [0, 1]]
+    cross = (g1 * (g2 * R2V[..., 0] - R2V[..., 2]) - (g2 * R2V[..., 1] - R2V[..., 3])
+             + X12[..., 0])
+    return sums1, sums2, cross
 
 
 def chosen_line_grid(cfg, policy=FINE_POLICY):
@@ -464,14 +437,17 @@ def chosen_line_grid(cfg, policy=FINE_POLICY):
     return build_line_grid(cfg, adapt_policy(cfg, policy))
 
 
+def _whole_line(cfgs, line_grid):
+    """The stack of cfgs damped on line_grid, or in closed form when None."""
+    return _ClosedForm(cfgs) if line_grid is None else _LineSamples(cfgs, line_grid)
+
+
 def whole_line_integrals(cfg, policy=FINE_POLICY, line_grid=None):
-    """The whole-line integrals of cfg, chosen once for all of its builders:
-    damped on line_grid when one is given (which keeps the damped builders
-    as the oracle of the closed forms), else on chosen_line_grid(cfg,
-    policy), or in closed form when that is None."""
-    if line_grid is None:
-        line_grid = chosen_line_grid(cfg, policy)
-    return _ClosedForm(cfg) if line_grid is None else _LineSamples(cfg, line_grid)
+    """The whole-line integrals of cfg, a stack of one: damped on line_grid
+    when one is given (which keeps the damped builders as the oracle of the
+    closed forms), else on chosen_line_grid(cfg, policy), or in closed form
+    when that is None."""
+    return _whole_line([cfg], chosen_line_grid(cfg, policy) if line_grid is None else line_grid)
 
 
 def build_E_vectors(whole_line, lam_grid):
@@ -479,33 +455,43 @@ def build_E_vectors(whole_line, lam_grid):
     whole_line_integrals of a configuration.
 
     Components 3,4 of E^L are (1 + (2/pi) K1-hat) e_2^L; components 1,2 of
-    E^R are e_1^R (1 + (2/pi) K2-hat) (right action).  Sampled once per lam
-    grid, so build_b and build_M_operator share them.
+    E^R are e_1^R (1 + (2/pi) K2-hat) (right action).
     """
-    return whole_line.e_vectors(np.asarray(lam_grid, dtype=float))
+    sampled = whole_line.on(lam_grid)
+    return sampled.EL[0], sampled.ER[0]
 
 
-def build_Q(whole_line, strict=True):
-    """4x4 matrix Q: Gaussian sigma_+ blocks and the -(integral of e1R e2L)
-    block, from the whole_line_integrals of a configuration.
+def _q_matrices(aux, q, strict):
+    """The (K, 4, 4) Q of a stack and each configuration's degenerate
+    entries: Gaussian sigma_+ blocks, once per distinct pair (dy, dt), and
+    the integral blocks q.
 
     Coincident pairs (dy = dt = 0) make the sigma_+ block a delta
     distribution: DegenerateDelta when strict, entry 0 with a flag otherwise.
     """
-    Q = np.zeros((4, 4), dtype=complex)
-    degenerate = []
-    for block, aux in zip((0, 2), whole_line.aux):
-        if aux.coincident:
-            if strict:
-                raise DegenerateDelta(f"coincident pair {block // 2 + 1}: the sigma_+ block "
-                                      "of Q is gaussian_fresnel(0, 0), a delta distribution")
-            g = 0.0
-            degenerate.append((block, block + 1))
-        else:
-            g = gaussian_fresnel(aux.dy, aux.dt)
-        Q[block:block + 2, block:block + 2] = -g * SIGMA_PLUS
-    Q[:2, 2:] = whole_line.q_block()
+    Q = np.zeros((len(aux), 4, 4), dtype=complex)
+    Q[:, :2, 2:] = q
+    fresnel, degenerate = {}, []
+    for k, pairs in enumerate(aux):
+        degenerate.append([])
+        for block, a in zip((0, 2), pairs):
+            if a.coincident:
+                if strict:
+                    raise DegenerateDelta(f"coincident pair {block // 2 + 1}: the sigma_+ block "
+                                          "of Q is gaussian_fresnel(0, 0), a delta distribution")
+                degenerate[k].append((block, block + 1))
+                continue
+            if (a.dy, a.dt) not in fresnel:
+                fresnel[a.dy, a.dt] = gaussian_fresnel(a.dy, a.dt)
+            Q[k, block, block + 1] = -fresnel[a.dy, a.dt]
     return Q, degenerate
+
+
+def build_Q(whole_line, strict=True):
+    """4x4 matrix Q and its degenerate entries (_q_matrices), from the
+    whole_line_integrals of a configuration."""
+    Q, degenerate = _q_matrices(whole_line.aux, whole_line.on(np.empty(0)).q, strict)
+    return Q[0], degenerate[0]
 
 
 @dataclass
@@ -540,50 +526,63 @@ def _spectral_grid(ensemble, n):
     return quad, lambda lam: fermi_weight(lam, p)
 
 
-def build_M_operator(whole_line, quadrature, weight_fn=None):
-    """M-hat on the grid: kernel -(pi/2) E^L(lam).E^R(mu)/(lam - mu), from
-    the whole_line_integrals of a configuration.
-
-    Off-diagonal entries contract the sampled E vectors; the diagonal is the
-    analytic limit, whose integral term is the cross integral of the
-    whole-line integrals (0 when a pair is coincident: the difference
-    quotient of a constant G).
-    """
-    lam = quadrature.nodes
-    EL, ER = build_E_vectors(whole_line, lam)
+def _m_hat(lam, sampled):
+    """M-hat of a stack on lam (K, n, n): kernel -(pi/2) E^L(lam).E^R(mu)/(lam
+    - mu) off the diagonal, and on it the analytic limit -A1 B1 G1' - A2 B2
+    G2' - (2/pi) * cross integral (0 when a pair is coincident: the
+    difference quotient of a constant G)."""
     diff = lam[:, None] - lam[None, :]
     np.fill_diagonal(diff, 1.0)
-    mat = -(math.pi / 2.0) * (EL @ ER) / diff
-    # diagonal: -A1 B1 G1' - A2 B2 G2' - (2/pi) * cross integral
-    cross = whole_line.integrals(lam)[2]
-    (row1, col1, _, dg1), (row2, col2, _, dg2) = whole_line.pair_samples(lam)
-    np.fill_diagonal(mat, -row1 * col1 * dg1 - row2 * col2 * dg2 - (2.0 / math.pi) * cross)
-    return DiscretizedOperator(quadrature=quadrature, matrix=mat, scale=2.0 / math.pi,
-                               weight_fn=weight_fn)
+    mat = -(math.pi / 2.0) * (sampled.EL @ sampled.ER) / diff
+    (row1, col1, _, dg1), (row2, col2, _, dg2) = sampled.pairs
+    diagonal = mat.reshape(len(mat), -1)[:, ::len(lam) + 1]
+    diagonal[...] = -row1 * col1 * dg1 - row2 * col2 * dg2 - (2.0 / math.pi) * sampled.cross
+    return mat
+
+
+def build_M_operator(whole_line, quadrature, weight_fn=None):
+    """M-hat on the grid (_m_hat), from the whole_line_integrals of a
+    configuration."""
+    lam = quadrature.nodes
+    return DiscretizedOperator(quadrature=quadrature, matrix=_m_hat(lam, whole_line.on(lam))[0],
+                               scale=2.0 / math.pi, weight_fn=weight_fn)
 
 
 def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     """b = B + Q with B_{jk} = integral of F_j^R E_k^L over the spectral domain.
 
     F^R solves the transposed resolvent system F^R (1 - (2/pi) M-hat) = E^R.
-    The whole-line integrals are chosen once (whole_line_integrals): closed
-    forms at the x1 = 0 configuration with no line_grid, so no line grid is
-    built; otherwise damped on the given LineGrid, or on the grid of cfg
-    under adapt_policy(cfg, policy), with G_1 and G_2 sampled on it at most
-    once per grid (LineGrid.hilbert).  The result reports that grid's node
-    count and deltas.
+    The whole-line integrals are chosen once: closed forms at the x1 = 0
+    configuration with no line_grid, so no line grid is built; otherwise
+    damped on the given LineGrid, or on the grid of cfg under
+    adapt_policy(cfg, policy).  The result reports that grid's node count
+    and deltas.  It is the stack of one of _build_b_stack.
     """
+    if line_grid is None:
+        line_grid = chosen_line_grid(cfg, policy)
+    return _build_b_stack([cfg], ensemble, n, line_grid)[0]
+
+
+def _build_b_stack(cfgs, ensemble, n, line_grid):
+    """The NlsMatrices of each configuration of cfgs, as build_b gives them,
+    all on line_grid (closed forms when None) and on one spectral grid: E
+    vectors, M-hat, the resolvent solves, B and Q for the whole stack at
+    once."""
     quad, weight_fn = _spectral_grid(ensemble, n)
-    whole_line = whole_line_integrals(cfg, policy, line_grid)
-    EL, ER = build_E_vectors(whole_line, quad.nodes)
-    op = build_M_operator(whole_line, quad, weight_fn=weight_fn)
-    w = op.effective_weights()
-    amat = np.eye(n) - op.scale * (op.matrix.T * w[None, :])
-    FR = np.linalg.solve(amat, ER.T).T          # (4, n)
-    B = np.einsum('i,ji,ik->jk', w, FR, EL)
-    Q, degenerate = build_Q(whole_line, strict=False)
-    return NlsMatrices(Q=Q, B=B, degenerate_entries=degenerate,
-                       line_nodes=whole_line.line_nodes, deltas=whole_line.deltas)
+    lam = quad.nodes
+    whole_line = _whole_line(cfgs, line_grid)
+    sampled = whole_line.on(lam)
+    mat = _m_hat(lam, sampled)
+    if not np.all(np.isfinite(mat)):
+        raise NumericalFailure("non-finite kernel entries")
+    w = quad.weights if weight_fn is None else quad.weights * weight_fn(lam)
+    amat = np.eye(n) - (2.0 / math.pi) * (mat.transpose(0, 2, 1) * w)
+    FR = np.linalg.solve(amat, sampled.ER.transpose(0, 2, 1)).transpose(0, 2, 1)   # (K, 4, n)
+    B = (FR * w) @ sampled.EL
+    Q, degenerate = _q_matrices(whole_line.aux, sampled.q, strict=False)
+    return [NlsMatrices(Q=Q[k], B=B[k], degenerate_entries=degenerate[k],
+                        line_nodes=whole_line.line_nodes, deltas=whole_line.deltas)
+            for k in range(len(cfgs))]
 
 
 def _comm(a, b):
@@ -600,9 +599,10 @@ def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=FINE_POLICY, li
     Derivatives of b are three-point central differences with the given
     step; all stencil evaluations share one line grid, built once under the
     policy as given (not adapted), so the quadrature bias differentiates
-    smoothly.  A shift moves one pair's (dy, dt), so the grid's G samples of
-    the other pair serve many configurations, and its reciprocal table
-    serves all of them.
+    smoothly.  The base and its 40 shifts are one stack of _build_b_stack:
+    a shift moves one pair's (dy, dt), so the other pair's G samples serve
+    many configurations, and one reciprocal table and one spectral grid
+    serve all of them.
     Returns a (4, 4) array of per-(j,k) residual norms, maximized over the
     LAX_MUS values.
     """
@@ -644,13 +644,13 @@ def _stencil_shifts(step):
 
 def _lax_residuals(cfg, ensemble, steps, n, line_grid):
     """The NlsMatrices of cfg on line_grid and the residual matrices of
-    lax_compatibility_residual for each of the steps, all from one walk.
-    The base configuration is evaluated once for every step."""
+    lax_compatibility_residual for each of the steps, from one stack of the
+    base configuration, evaluated once for every step, and the shifts."""
     configs = {(): cfg}
     for step in steps:
         for name, (dy, dt) in _stencil_shifts(step).items():
             configs[(step, *name)] = cfg.shifted(dy=dy, dt=dt)
-    mats = {name: build_b(c, ensemble, n=n, line_grid=line_grid) for name, c in configs.items()}
+    mats = dict(zip(configs, _build_b_stack(list(configs.values()), ensemble, n, line_grid)))
     b = {name: m.b for name, m in mats.items()}
     return mats[()], [_residual_matrix(b, step) for step in steps]
 

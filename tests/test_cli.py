@@ -470,15 +470,16 @@ def test_invalid_point_is_a_one_line_configuration_error(capsys, argv):
 
 def test_lax_check_evaluates_the_base_b_once(monkeypatch):
     # step and step/2 share the base configuration, and the final b on the
-    # stencil grid is that same b: 1 + 2 * 40 build_b calls, not 83
+    # stencil grid is that same b: 1 + 2 * 40 configurations, not 83, in
+    # the stacks of _build_b_stack that build_b and the stencil run
     import bosefredholm.nls_system as nls
-    original, configs = nls.build_b, []
+    original, configs = nls._build_b_stack, []
 
-    def counting(cfg, *args, **kwargs):
-        configs.append(cfg)
-        return original(cfg, *args, **kwargs)
+    def counting(cfgs, *args, **kwargs):
+        configs.extend(cfgs)
+        return original(cfgs, *args, **kwargs)
 
-    monkeypatch.setattr(nls, "build_b", counting)
+    monkeypatch.setattr(nls, "_build_b_stack", counting)
     y, tt = (-0.06, 0.06, 0.0, 0.15), (0.025, 0.1, -0.05, 0.175)
     code, _ = run_cli(["lax-check", "--y", *map(str, y), "--tt", *map(str, tt), "--n", "8",
                        "--damping", "2e-2", "--orders", "3"])

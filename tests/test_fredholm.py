@@ -9,14 +9,23 @@ from bosefredholm.fredholm import (
     DiscretizedOperator,
     Quadrature,
     RankOnePerturbation,
+    _factor,
+    _solve,
     build_grid,
     det_with_rank_one_derivative,
     fredholm_det,
     fredholm_minor_first,
-    resolvent_apply,
     thermal_cut,
 )
 from bosefredholm.kernels import GeometryParams, NEUMANN, ThermalParams, kernel_L, kernel_V, kernel_W
+
+
+def resolvent_apply(op, rhs):
+    """Solve (I - scale*K-hat) u = rhs at the nodes (one refinement step)
+    from the one factorisation and the guarded solve that the library's
+    derivative and minor routines share; no library function returns u."""
+    factors, mat, _ = _factor(op)
+    return _solve(factors, mat, rhs)
 
 
 def test_build_grid_two_point():

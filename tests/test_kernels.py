@@ -145,11 +145,15 @@ def kernel_L_scalar(lam, mu, g):
              (-1.0, x1 + x2, -mu * x1 - lam * x2),
              (-1.0, -x1 - x2, mu * x1 + lam * x2))
     gauge = np.exp(-0.5j * t * (lam * lam + mu * mu))
-    if abs(d) < 1e-6:
-        # each difference quotient of H is the derivative at the midpoint
+    if abs(d) < 1e-4:
+        # each difference quotient of H is the mean of H' over [mu, lam] by
+        # the two-point Gauss-Legendre rule
+        half = d / (2.0 * math.sqrt(3.0))
         pv = 0.0j
         for sgn, X, phi in terms:
-            pv -= sgn * 0.25 * np.exp(1j * phi) * pv_fresnel_hilbert_dlam(0.5 * (lam + mu), -X, t)
+            mean = 0.5 * sum(pv_fresnel_hilbert_dlam(0.5 * (lam + mu) + h, -X, t)
+                             for h in (-half, half))
+            pv -= sgn * 0.25 * np.exp(1j * phi) * mean
         return complex(gauge * (brace / d + (2.0 / math.pi) * pv))
     pv = 0.0j
     for sgn, X, phi in terms:
@@ -175,10 +179,10 @@ def _kernel_meshes(draw):
                                     "outside", "reflected")))
         side = draw(st.sampled_from((-1.0, 1.0)))
         # |lam - mu| on either side of the 1e-12 diagonal threshold and of
-        # the 1e-6 near-diagonal threshold
+        # the 1e-4 near-diagonal threshold
         mu.append({"free": draw(_COORD), "diagonal": base,
                    "below": base + side * 0.99e-12, "above": base + side * 1.01e-12,
-                   "near": base + side * 0.99e-6, "outside": base + side * 1.01e-6,
+                   "near": base + side * 0.99e-4, "outside": base + side * 1.01e-4,
                    "reflected": -base}[how])
     return GeometryParams(x1, x2, t), np.array(lam), np.array(mu)
 
@@ -257,6 +261,18 @@ def test_kernel_L_near_diagonal_equals_mpmath_oracle(g, lam, d, side):
     mu = lam + side * d
     ref = kernel_L_mp(lam, mu, g)
     assert abs(kernel_L(lam, mu, g) - ref) <= (1e-13 + 10.0 * d * d) * (1.0 + abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_GEOMETRY, _COORD, st.floats(-7.0, -3.0), st.sampled_from((-1.0, 1.0)))
+def test_kernel_L_across_the_near_diagonal_edge_equals_mpmath_oracle(g, lam, log_d, side):
+    # 1e-7 <= |lam - mu| <= 1e-3, either side of NEAR_DIAGONAL = 1e-4:
+    # below it each H difference quotient is the two-point Gauss-Legendre
+    # mean of H' (off by d^4 H^(5)/4320), above it the quotient as it
+    # stands (rounding of about 1e-16/d)
+    mu = lam + side * 10.0 ** log_d
+    ref = kernel_L_mp(lam, mu, g)
+    assert abs(kernel_L(lam, mu, g) - ref) <= 1e-11 * (1.0 + abs(ref))
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,6 +27,7 @@ from bosefredholm.nls_system import (
     FourPointConfig,
     LineGrid,
     P_MATRICES,
+    _stencil_shifts,
     adapt_policy,
     build_aux_fields,
     build_b,
@@ -36,6 +37,7 @@ from bosefredholm.nls_system import (
     build_Q,
     lax_compatibility_residual,
     line_chirps,
+    reciprocal_table,
     whole_line_integrals,
 )
 from bosefredholm.special_integrals import (
@@ -460,12 +462,19 @@ def _lam_near_nodes(draw, nodes):
 _ORACLE_POLICY = RegularizationPolicy(damping=0.5)
 
 
+def _integrals(cfg, grid, lam):
+    """(K1-hat e_2^L)(lam), (e_1^R K2-hat)(lam) and the cross integral of
+    cfg damped on grid, from its whole_line_integrals (a stack of one)."""
+    sampled = whole_line_integrals(cfg, line_grid=grid).on(lam)
+    return sampled.compL[0], sampled.compR[0], sampled.cross[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), _general_configs(coincident=True))
 def test_damped_integrals_equal_mesh_oracle(data, cfg):
     grid = build_line_grid(cfg, _ORACLE_POLICY)
     lam = data.draw(_lam_near_nodes(grid.nodes))
-    got = whole_line_integrals(cfg, line_grid=grid).integrals(lam)
+    got = _integrals(cfg, grid, lam)
     ref = _damped_integrals_oracle(cfg, lam, grid.nodes,
                                    damped_weights(grid.nodes, grid.weights, grid.deltas))
     for g, r in zip(got, ref):
@@ -492,7 +501,7 @@ def test_split_quotients_equal_mesh_oracle_at_the_near_band(data, cfg):
     # exact quotient: either side of the band edge holds the mesh oracle
     grid = build_line_grid(cfg, _ORACLE_POLICY)
     lam = data.draw(_lam_at_band_edge(grid.nodes))
-    got = whole_line_integrals(cfg, line_grid=grid).integrals(lam)
+    got = _integrals(cfg, grid, lam)
     ref = _damped_integrals_oracle(cfg, lam, grid.nodes,
                                    damped_weights(grid.nodes, grid.weights, grid.deltas))
     for g, r in zip(got, ref):
@@ -513,17 +522,18 @@ def test_b_reports_the_line_grid_it_used():
 # -- one line grid shared by the Lax stencil --------------------------------
 
 def _stencil(cfg, pt, grid, step=4e-3, n=8, policy=FINE_POLICY):
-    """(cfg, b) of every build_b that lax_compatibility_residual runs on
-    grid, in order."""
+    """(cfg, b) of every configuration that lax_compatibility_residual
+    stacks on grid, in order."""
     import bosefredholm.nls_system as nls
     calls = []
+    stack = nls._build_b_stack
 
-    def recording(c, *args, **kwargs):
-        mats = build_b(c, *args, **kwargs)
-        calls.append((c, mats.b))
+    def recording(cfgs, *args, **kwargs):
+        mats = stack(cfgs, *args, **kwargs)
+        calls.extend((c, m.b) for c, m in zip(cfgs, mats))
         return mats
 
-    with mock.patch.object(nls, "build_b", recording):
+    with mock.patch.object(nls, "_build_b_stack", recording):
         lax_compatibility_residual(cfg, pt, step=step, n=n, policy=policy, line_grid=grid)
     return calls
 
@@ -617,10 +627,10 @@ def test_stencil_evaluates_each_node_phase_once_per_line_grid(monkeypatch):
 
 
 def test_stencil_builds_one_reciprocal_table_per_spectral_grid(monkeypatch):
-    # across the 41 stencil configurations the line grid builds the
-    # reciprocal table once for the one spectral grid, and again only for
-    # another one; exact difference quotients are formed only for the few
-    # nodes near a spectral node, never on the whole node axis
+    # the 41 stencil configurations are one stack, which builds the
+    # reciprocal table once for the one spectral grid; each later build_b
+    # builds its own; exact difference quotients are formed only for the
+    # few nodes near a spectral node, never on the whole node axis
     import bosefredholm.nls_system as nls
     # the base configuration of the lax-general benchmark workload
     cfg = FourPointConfig(y=(-0.06, 0.06, 0.0, 0.15), t=(0.025, 0.1, -0.05, 0.175))
@@ -646,3 +656,68 @@ def test_stencil_builds_one_reciprocal_table_per_spectral_grid(monkeypatch):
     build_b(cfg, _point(0.0), n=10, line_grid=grid)
     build_b(cfg, _point(0.0), n=12, line_grid=grid)
     assert built == [12, 10, 12]
+
+
+def test_stencil_builds_one_spectral_grid(monkeypatch):
+    # the 41 stencil configurations are one stack on one Gauss-Legendre
+    # spectral grid, not one grid per configuration
+    import bosefredholm.nls_system as nls
+    cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
+    grid = build_line_grid(cfg, LAX_POLICY)
+    built = []
+
+    def counting(domain, n, *args, **kwargs):
+        built.append(n)
+        return build_grid(domain, n, *args, **kwargs)
+
+    monkeypatch.setattr(nls, "build_grid", counting)
+    for T in (0.0, 0.4):
+        built.clear()
+        lax_compatibility_residual(cfg, _point(T), step=4e-3, n=8, line_grid=grid)
+        assert built == [8]
+
+
+@st.composite
+def _stacks(draw):
+    """A base configuration, whose first pair may be coincident (either
+    coincident_sign) and whose second pair may be equal-time, and a stack
+    of it with some of its stencil shifts and some configurations that
+    share one of its pairs."""
+    base = draw(_general_configs(coincident=True))
+    y, t = list(base.y), list(base.t)
+    if draw(st.booleans()):
+        t[3] = t[2]
+    cs = draw(st.sampled_from((0, 1)))
+    base = FourPointConfig(y=tuple(y), t=tuple(t), coincident_sign=cs)
+    shifts = list(_stencil_shifts(draw(st.sampled_from((4e-3, 2e-3)))).values())
+    cfgs = [base]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            dy, dt = draw(st.sampled_from(shifts))
+            cfgs.append(base.shifted(dy=dy, dt=dt))
+        else:
+            other = draw(_general_configs())
+            keep = slice(0, 2) if draw(st.booleans()) else slice(2, 4)
+            y, t = list(other.y), list(other.t)
+            y[keep], t[keep] = base.y[keep], base.t[keep]
+            cfgs.append(FourPointConfig(y=tuple(y), t=tuple(t), coincident_sign=cs))
+    return cfgs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_stacks(), st.sampled_from((0.0, 0.4)))
+def test_stack_equals_stacks_of_one(cfgs, T):
+    # a stack shares its samples, node vectors and spectral grid across the
+    # configurations; each b equals the configuration's own stack of one
+    import bosefredholm.nls_system as nls
+    pt, n = _point(T), 8
+    grid = build_line_grid(cfgs[0], _ORACLE_POLICY)
+    quad, _ = nls._spectral_grid(pt, n)
+    assert len(reciprocal_table(quad.nodes, grid.nodes)[1])     # nodes inside NEAR_BAND
+    stack = nls._build_b_stack(cfgs, pt, n, grid)
+    assert len(stack) == len(cfgs)
+    for c, mats in zip(cfgs, stack):
+        one = nls._build_b_stack([c], pt, n, grid)[0]
+        assert np.max(np.abs(mats.b - one.b)) <= 1e-14 * np.max(np.abs(one.b))
+        assert mats.degenerate_entries == one.degenerate_entries
+        assert (mats.line_nodes, mats.deltas) == (one.line_nodes, one.deltas)
