@@ -16,8 +16,8 @@ from .errors import InvalidState
 from .kernels import BoundaryKind
 from .special_integrals import (
     DEFAULT_POLICY,
-    damped_limit,
     damped_weights,
+    extrapolated_weights,
     gauss_panels,
     richardson_sequence,
 )
@@ -343,8 +343,8 @@ def finite_L_correlation(sys, x1, x2, t, lam_max, policy=DEFAULT_POLICY, h=0.0,
     if t == 0.0 or not damped:
         return complex(np.sum(base_terms * phases) * np.exp(-1j * h * t))
     # damped on the intermediate energies: node sqrt(lam_sq), unit weight
-    weights = damped_weights(np.sqrt(lam_sq), np.ones(len(lam_sq)), policy.deltas)
-    limit = damped_limit(base_terms * phases, weights)
+    limit = (base_terms * phases) @ extrapolated_weights(np.sqrt(lam_sq), np.ones(len(lam_sq)),
+                                                         policy.deltas)
     return complex(limit * np.exp(-1j * h * t))
 
 
@@ -378,7 +378,7 @@ def proposition_determinant(sys, x1, x2, t, policy=DEFAULT_POLICY, lam_max=240.0
     pref = (np.exp(-1j * s * (x1 - x2)) @ dp
             + eps * (np.exp(-1j * s * (x1 + x2)) @ dp)) / (2.0 * L)
     if N == 0:
-        limit, _ = richardson_sequence(list(pref))
+        limit, _ = richardson_sequence(pref)
         return complex(limit * np.exp(-1j * h * t))
 
     # sinc tables over the whole lattice, columns (s - mu_k, s + mu_k): (S, 2N)

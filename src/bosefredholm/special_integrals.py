@@ -201,15 +201,23 @@ def gauss_legendre(order):
     return x, w
 
 
-def gauss_panels(a, b, n_panels, order=16):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
+def _panel_rule(edges, order):
+    """Gauss-Legendre nodes/weights of `order` on each panel between edges."""
     x, w = gauss_legendre(order)
-    edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def gauss_panels(a, b, n_panels, order=16):
+    """Composite Gauss-Legendre nodes/weights on [a, b]."""
+    return _panel_rule(np.linspace(a, b, n_panels + 1), order)
+
+
+# graded_line_grid steps once per panel, so it refuses more than this many
+# per half-line; the test suite, `validate --suite all` and the benchmark
+# workloads build at most 21,384 (damped_line_integral at tail_cut 253)
+MAX_LINE_PANELS = 100_000
 
 
 def graded_line_grid(tail_cut, phase_scale=0.0, base_width=0.25, phase_per_panel=4.0, order=16,
@@ -221,52 +229,52 @@ def graded_line_grid(tail_cut, phase_scale=0.0, base_width=0.25, phase_per_panel
     The phase rate |d(phase)/ds| at +-s is bounded by 2*phase_scale*max(s, 1)
     for phases ~ phase_scale*s^2.  `chirps`, a sequence of (dt, dy), gives
     the phases dt*s^2 - dy*s instead, with the rate max of 2|dt| s + |dy|.
+    More than MAX_LINE_PANELS panels per half-line raise InvalidParameter.
     """
     if chirps is None:
         lines = ((2.0 * phase_scale, 0.0), (0.0, 2.0 * phase_scale))
     else:
         lines = tuple((2.0 * abs(dt), abs(dy)) for dt, dy in chirps)
-    x, w = gauss_legendre(order)
     edges = [0.0]
     while edges[-1] < tail_cut:
+        if len(edges) > MAX_LINE_PANELS:
+            raise InvalidParameter(f"the line grid on |s| <= {tail_cut:.3g} needs over "
+                                   f"{MAX_LINE_PANELS} panels a side: raise the damping")
         s = edges[-1]
         rate = max(a * s + b for a, b in lines)
         width = min(base_width, phase_per_panel / rate) if rate > 0 else base_width
         edges.append(min(s + width, tail_cut))
     e = np.asarray(edges)
-    e = np.concatenate([-e[::-1], e[1:]])
-    mid = 0.5 * (e[1:] + e[:-1])
-    half = 0.5 * (e[1:] - e[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return _panel_rule(np.concatenate([-e[::-1], e[1:]]), order)
+
+
+def richardson_weights(k):
+    """Real (k, 3) matrix contracting the estimates S(delta), ...,
+    S(delta/2^(k-1)) to (limit, raw, refined): the limit delta -> 0 for an
+    error series c1*delta + c2*delta^2 + ... (the Lagrange weights at 0 of
+    the nodes 2^-j, e.g. (1/3, -2, 8/3) for k = 3), the raw difference
+    e_k - e_(k-1), and the refined one 2e_k - 3e_(k-1) + e_(k-2) of the last
+    two first-order extrapolants; zero where k is too small for them.
+    """
+    j = np.arange(k)
+    ratio = 2.0 ** (j - j[:, None])
+    np.fill_diagonal(ratio, 0.0)
+    w = np.zeros((k, 3))
+    w[:, 0] = np.prod(1.0 / (1.0 - ratio), axis=1)
+    if k >= 2:
+        w[-2:, 1] = (-1.0, 1.0)
+    if k >= 3:
+        w[-3:, 2] = (1.0, -3.0, 2.0)
+    return w
 
 
 def richardson_sequence(values):
-    """Extrapolate values S(delta), S(delta/2), ... assuming an error series
-    c1*delta + c2*delta^2 + ...
-
-    Returns (limit, consistency) where consistency compares the last two
-    first-order extrapolants against the raw difference.
-    """
-    vals = [np.asarray(v) for v in values]
-    m = len(vals)
-    if m == 1:
-        return vals[0], 0.0
-    table = [vals]
-    for col in range(1, m):
-        fac = 2.0 ** col
-        prev = table[-1]
-        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0)
-                      for k in range(len(prev) - 1)])
-    limit = table[-1][0]
-    raw = float(np.max(np.abs(vals[-1] - vals[-2])))
-    first = table[1]
-    if len(first) >= 2:
-        refined = float(np.max(np.abs(first[-1] - first[-2])))
-    else:
-        refined = 0.0
-    return limit, (raw, refined)
+    """(limit, (raw, refined)) of values S(delta), S(delta/2), ... stacked on
+    the first axis: one contraction against richardson_weights, raw and
+    refined the largest moduli of the two differences."""
+    values = np.asarray(values)
+    limit, raw, refined = np.tensordot(richardson_weights(len(values)), values, axes=(0, 0))
+    return limit, (float(np.max(np.abs(raw))), float(np.max(np.abs(refined))))
 
 
 def damped_weights(nodes, weights, deltas):
@@ -281,38 +289,29 @@ def damped_weights(nodes, weights, deltas):
 
 
 def extrapolated_weights(nodes, weights, deltas):
-    """Real (ns,) weights whose contraction is the Richardson limit of the
-    damped estimates: damped_weights(nodes, weights, deltas) @ c.
-
-    The limit is a fixed linear combination c of the k estimates, so c is
-    richardson_sequence of the unit basis.  vals @ extrapolated_weights(...)
-    equals damped_limit(vals, damped_weights(...)) without its consistency
-    check, which needs the per-delta estimates.
+    """Real (ns,) weights damped_weights(nodes, weights, deltas) @ c, c the
+    limit column of richardson_weights: vals @ extrapolated_weights(...) is
+    damped_limit(vals, damped_weights(...)) without its consistency check.
     """
-    coefficients, _ = richardson_sequence(np.eye(len(deltas)))
-    return damped_weights(nodes, weights, deltas) @ coefficients
+    return damped_weights(nodes, weights, deltas) @ richardson_weights(len(deltas))[:, 0]
 
 
 def damped_limit(vals, damped, rtol=None):
     """Contract vals (..., ns) against a damped-weight matrix (ns, k) and
     Richardson-extrapolate the k estimates to delta -> 0.
 
-    With `rtol`, a schedule of three or more deltas is checked for
-    consistency: when the refined first-order extrapolants differ by more
-    than max(0.25 * raw difference, rtol * (max|limit| + 1)) the estimates
-    do not follow the assumed error series and ConvergenceFailure carries
-    them.  `rtol=None` skips the check.
+    With `rtol`, the estimates are checked for consistency: when the refined
+    first-order extrapolants differ by more than max(0.25 * raw difference,
+    rtol * (max|limit| + 1)) the estimates do not follow the assumed error
+    series and ConvergenceFailure carries them.  `rtol=None` skips the check.
     """
-    est = np.asarray(vals) @ damped
-    estimates = list(np.moveaxis(est, -1, 0))
-    limit, consistency = richardson_sequence(estimates)
-    if rtol is not None and len(estimates) >= 3:
-        raw, refined = consistency
-        if refined > max(0.25 * raw, rtol * (float(np.max(np.abs(limit))) + 1.0)):
-            raise ConvergenceFailure(
-                "damped extrapolation inconsistent "
-                f"(raw diff {raw:.3e}, refined diff {refined:.3e})",
-                estimates=estimates)
+    estimates = np.moveaxis(np.asarray(vals) @ damped, -1, 0)
+    limit, (raw, refined) = richardson_sequence(estimates)
+    if rtol is not None and refined > max(0.25 * raw, rtol * (float(np.max(np.abs(limit))) + 1.0)):
+        raise ConvergenceFailure(
+            "damped extrapolation inconsistent "
+            f"(raw diff {raw:.3e}, refined diff {refined:.3e})",
+            estimates=list(estimates))
     return limit
 
 

@@ -23,8 +23,8 @@ from .correlators import (PhysicalPoint, correlation_boundary_neumann, correlati
 from .kernels import (DIRICHLET, GeometryParams, NEUMANN, ThermalParams, kernel_K_static,
                       kernel_L, kernel_theta)
 from .special_integrals import (DEFAULT_POLICY, RegularizationPolicy, damped_line_integral,
-                                damped_weights, gaussian_fresnel, pv_fresnel_hilbert,
-                                pv_quadrature, richardson_sequence)
+                                extrapolated_weights, gaussian_fresnel, pv_fresnel_hilbert,
+                                pv_quadrature)
 
 _WALLS = (NEUMANN, DIRICHLET)
 
@@ -59,17 +59,17 @@ def hilbert_conjugation_error(seed, draws, span):
 
 def hilbert_quadrature_error(points, policy):
     """Worst |H - oracle| / (1 + |H|) over (lam, y, t) points; the oracle is
-    pv_quadrature of one damped integrand per delta of policy, extrapolated."""
+    pv_quadrature of the integrand damped and extrapolated over the deltas
+    of policy (the PV is linear in the integrand)."""
     worst = 0.0
     for lam, y, t in points:
         closed = pv_fresnel_hilbert(lam, y, t)
         window = policy.tail_cut + abs(lam)
         n_panels = int(window * (2 * abs(t) * window + abs(y) + 2) / 3.0)
-        vals = pv_quadrature(
+        orc = pv_quadrature(
             lambda s: np.exp(1j * t * s * s - 1j * y * s)
-            * damped_weights(s, np.ones(len(s)), policy.deltas).T,
+            * extrapolated_weights(s, np.ones(len(s)), policy.deltas),
             lam, window=window, n_panels=n_panels)
-        orc, _ = richardson_sequence(vals)
         worst = max(worst, abs(closed - orc) / (1.0 + abs(closed)))
     return worst
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -313,6 +314,20 @@ def test_suite_check_fails_on_perturbed_subject(monkeypatch, subject, argv, chec
     code, out = run_cli(argv.split())
     passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
     assert code == 2 and passed[validate.CHECKS[check][0]] is False
+
+
+@pytest.mark.parametrize("argv", [["lax-check", "--damping", "1e-9"],
+                                  ["lax-check", "--orders", "40"]])
+def test_unbuildable_line_grid_is_a_one_line_configuration_error(capsys, argv):
+    # tail cuts of 4e5 and 4.7e7 would take millions of line-grid panels:
+    # the grid is refused at MAX_LINE_PANELS instead of being built
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "panels" in lines[0]
 
 
 def test_entry_point_subprocess():

@@ -222,6 +222,70 @@ def test_extrapolated_weights_equal_damped_limit(case):
     assert np.all(np.abs(got - expected) <= 1e-13 * np.max(np.abs(vals) @ damped))
 
 
+def richardson_table(values):
+    """(limit, raw, refined) of S(delta), S(delta/2), ... by the Richardson
+    table, column by column: the reference for richardson_weights."""
+    vals = [np.asarray(v) for v in values]
+    table = [vals]
+    for col in range(1, len(vals)):
+        fac = 2.0 ** col
+        prev = table[-1]
+        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0)
+                      for k in range(len(prev) - 1)])
+    zero = np.zeros_like(vals[0])
+    raw = vals[-1] - vals[-2] if len(vals) >= 2 else zero
+    first = table[1] if len(table) > 1 else []
+    refined = first[-1] - first[-2] if len(first) >= 2 else zero
+    return table[-1][0], raw, refined
+
+
+@st.composite
+def _estimates(draw):
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    re = draw(hnp.arrays(float, (k, m), elements=st.floats(-1e3, 1e3, **_FINITE)))
+    im = draw(hnp.arrays(float, (k, m), elements=st.floats(-1e3, 1e3, **_FINITE)))
+    return re + 1j * im
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimates())
+def test_richardson_sequence_matches_the_table(values):
+    limit, (raw, refined) = richardson_sequence(values)
+    t_limit, t_raw, t_refined = richardson_table(values)
+    scale = np.max(np.abs(values))
+    assert np.shape(limit) == np.shape(t_limit)
+    assert np.all(np.abs(limit - t_limit) <= 1e-14 * scale)
+    assert abs(raw - np.max(np.abs(t_raw))) <= 1e-14 * scale
+    assert abs(refined - np.max(np.abs(t_refined))) <= 1e-14 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(1, 30), elements=st.floats(-50.0, 50.0, **_FINITE)),
+       st.floats(1e-4, 1.0, **_FINITE), st.integers(1, 6))
+def test_extrapolated_weights_match_the_table_on_the_identity(nodes, damping, k):
+    weights = np.linspace(1e-3, 10.0, len(nodes))
+    deltas = RegularizationPolicy(damping=damping, extrapolation_orders=k).deltas
+    damped = damped_weights(nodes, weights, deltas)
+    expected = damped @ richardson_table(np.eye(len(deltas)))[0]
+    got = extrapolated_weights(nodes, weights, deltas)
+    assert np.all(np.abs(got - expected) <= 2e-15 * np.sum(np.abs(damped), axis=1))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_richardson_sequence_returns_limit_and_consistency(k):
+    # one estimate is a valid schedule (extrapolation_orders=1): the limit
+    # is that estimate, and the differences it has no data for are 0
+    values = [np.full(2, 1.0 + 0.5j) * (1.0 + 2.0 ** -j + 4.0 ** -j) for j in range(k)]
+    limit, (raw, refined) = richardson_sequence(values)
+    assert np.shape(limit) == (2,)
+    if k == 1:
+        assert np.array_equal(limit, values[0])
+    if k >= 3:
+        assert np.allclose(limit, 1.0 + 0.5j, rtol=1e-14, atol=0.0)
+    assert isinstance(raw, float) and isinstance(refined, float)
+    assert (raw == 0.0) == (k == 1) and (refined == 0.0) == (k <= 2)
+
+
 def test_richardson_consistency_shrinks():
     # successive first-order extrapolants tighten at least 4x vs raw diffs,
     # for an oscillatory decaying summand of the kind the entries use
