@@ -10,11 +10,9 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -168,8 +166,8 @@ def _finish_scan(results, args):
     return 2 if any(exc is not None for _, exc in results) else 0
 
 
-def _one_correlate(task):
-    (x1, x2, t, T, h, D, eps), n, tol = task
+def _one_correlate(point, n, tol):
+    x1, x2, t, T, h, D, eps = point
     kind = _eps_kind(eps)
     flag = "dirichlet-null" if kind is DIRICHLET and x1 == 0.0 else ""
     pt = PhysicalPoint(x1, x2, t, kind, ThermalParams(h=h, T=T), D=D)
@@ -194,26 +192,8 @@ def _scan_points(args):
     return points
 
 
-def _workers():
-    raw = os.environ.get("BF_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def cmd_correlate(args):
-    points = _scan_points(args)
-    tasks = [(p, args.n, args.tol) for p in points]
-    workers = _workers()
-    results = [None] * len(tasks)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, out in enumerate(pool.map(_one_correlate, tasks)):
-                results[i] = out
-    else:
-        for i, task in enumerate(tasks):
-            results[i] = _one_correlate(task)
+    results = [_one_correlate(p, args.n, args.tol) for p in _scan_points(args)]
     return _finish_scan(results, args)
 
 
@@ -303,8 +283,8 @@ def cmd_lax_check(args):
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, thermal, D=args.D if args.T == 0 else 0.0)
     cfg = FourPointConfig(y=tuple(args.y), t=tuple(args.tt))
     policy = RegularizationPolicy(damping=args.damping, extrapolation_orders=args.orders)
-    # the final b and the residuals of lax_compatibility_residual at step and
-    # step/2, from one walk through both stencils
+    # the final b and the Lax residuals at step and step/2, from one walk
+    # through both stencils
     mats, stencil, (res_big, res_small) = lax_check(cfg, pt, (args.step, args.step / 2.0),
                                                     args.n, policy)
     payload = {

@@ -16,10 +16,11 @@ import numpy as np
 from .errors import InvalidParameter
 from .fredholm import thermal_cut
 from .special_integrals import (
+    NEAR_DIAGONAL,
     fresnel_kink_integral,
     gauss_panels,
+    hilbert_mean_slope,
     pv_fresnel_hilbert,
-    pv_fresnel_hilbert_dlam,
 )
 
 
@@ -113,12 +114,6 @@ def _pv_terms(lam, mu, x1, x2):
             (-1.0, el, em))
 
 
-# |lam - mu| below which kernel_L takes each H difference quotient as a
-# mean of H': the quotient as it stands loses about 1e-16/|lam - mu| to
-# cancellation, the two-point mean about (lam - mu)^4 H^(5)/4320
-NEAR_DIAGONAL = 1e-4
-
-
 def kernel_L(lam, mu, g):
     """Dynamical two-position kernel L(lam, mu); broadcasts over lam/mu.
 
@@ -156,7 +151,7 @@ def _kernel_L_entries(lam, mu, h_lam, h_mu, g):
     at lam - mu.  Entries with |lam - mu| < 1e-12 take the analytic
     diagonal kernel_L_diag; entries with 1e-12 <= |lam - mu| < NEAR_DIAGONAL
     take each difference quotient of H as the mean of H' over [mu, lam]
-    (_kernel_L_near_diag).
+    (hilbert_mean_slope).
     """
     x1, x2, t = g.x1, g.x2, g.t
     d = lam - mu
@@ -173,30 +168,16 @@ def _kernel_L_entries(lam, mu, h_lam, h_mu, g):
     if np.any(diag):
         out[diag] = kernel_L_diag(np.broadcast_to(lam, diag.shape)[diag], g)
     if np.any(near):
-        out[near] = _kernel_L_near_diag(np.broadcast_to(lam, near.shape)[near],
-                                        np.broadcast_to(mu, near.shape)[near], g)
+        # (H(mu) - H(lam))/(lam - mu) is minus the mean of H' over [mu, lam]
+        lam, mu = (np.broadcast_to(v, near.shape)[near] for v in (lam, mu))
+        d = lam - mu
+        brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
+                 + np.exp(1j * t * mu * mu) * np.sin(x2 * d)) / d
+        pv = 0.0j
+        for (sgn, lp, mp), y in zip(_pv_terms(lam, mu, x1, x2), _hilbert_shifts(x1, x2)):
+            pv = pv - sgn * 0.25 * (lp * mp) * hilbert_mean_slope(lam, mu, y, t)
+        out[near] = np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv)
     return out
-
-
-def _kernel_L_near_diag(lam, mu, g):
-    """kernel_L (t != 0) at 1e-12 <= |lam - mu| < NEAR_DIAGONAL, on node
-    vectors.
-
-    (H(mu) - H(lam))/(lam - mu) there loses about 1e-16/|lam - mu| to
-    cancellation.  It is minus the mean of H' over [mu, lam], which the
-    two-point Gauss-Legendre rule gives up to (lam - mu)^4 H^(5)/4320.
-    """
-    x1, x2, t = g.x1, g.x2, g.t
-    d = lam - mu
-    mid = 0.5 * (lam + mu)
-    gauss = np.stack([mid - d / (2.0 * math.sqrt(3.0)), mid + d / (2.0 * math.sqrt(3.0))])
-    brace = (np.exp(1j * t * lam * lam) * np.sin(x1 * d)
-             + np.exp(1j * t * mu * mu) * np.sin(x2 * d)) / d
-    pv = 0.0j
-    for (sgn, lp, mp), y in zip(_pv_terms(lam, mu, x1, x2), _hilbert_shifts(x1, x2)):
-        lo, hi = pv_fresnel_hilbert_dlam(gauss, y, t)
-        pv = pv - sgn * 0.25 * (lp * mp) * (0.5 * (lo + hi))
-    return np.exp(-0.5j * t * (lam * lam + mu * mu)) * (brace + (2.0 / math.pi) * pv)
 
 
 def kernel_L_diag(lam, g):

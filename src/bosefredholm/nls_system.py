@@ -7,15 +7,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDelta, NumericalFailure
-from .fredholm import DiscretizedOperator, build_grid, thermal_cut
+from .errors import InvalidParameter, NumericalFailure
+from .fredholm import build_grid, thermal_cut
 from .kernels import fermi_weight
 from .special_integrals import (
     FINE_POLICY,
+    NEAR_DIAGONAL,
     RegularizationPolicy,
     extrapolated_weights,
     gaussian_fresnel,
     graded_line_grid,
+    hilbert_mean_slope,
     pv_fresnel_hilbert,
     pv_fresnel_hilbert_dlam,
 )
@@ -98,7 +100,8 @@ class AuxField:
 
     def hilbert_diffquot(self, lam, s, g_lam=None, g_s=None):
         """(G(lam) - G(s))/(lam - s) on the broadcast (lam, s) mesh; entries
-        with |lam - s| < NEAR_DIAGONAL take G' at their midpoints.
+        with |lam - s| < NEAR_DIAGONAL take the mean of G' over [s, lam]
+        (hilbert_mean_slope), as kernel_L does.
 
         g_lam, g_s are G already sampled at lam and s; each one not given
         is evaluated here, once per axis (cheap outer difference).
@@ -111,7 +114,8 @@ class AuxField:
         near = np.abs(den) < NEAR_DIAGONAL
         out = np.asarray((g_lam - g_s) / np.where(near, 1.0, den), dtype=complex)
         if np.any(near):
-            out[near] = self.hilbert_deriv(np.broadcast_to(0.5 * (lam + s), den.shape)[near])
+            pts = (np.broadcast_to(v, den.shape)[near] for v in (lam, s))
+            out[near] = hilbert_mean_slope(*pts, self.dy, self.dt) / (2.0 * math.pi)
         return out
 
     def samples(self, lam):
@@ -158,8 +162,6 @@ def adapt_policy(cfg, policy):
 LINE_BASE_WIDTH = 0.5
 LINE_PHASE_PER_PANEL = 16.0
 
-# |lam - s| below which a difference quotient takes G' at the midpoint
-NEAR_DIAGONAL = 1e-7
 # |lam - s| below which a line node's quotient is formed exactly, not split
 # into G(lam) R - R G(s), R = 1/(lam - s).  Each of the cross integral's four
 # R^2 sums rounds to about eps sum_s |c(s)| R^2 ~ eps (w/d^2 + 2/d) past a
@@ -252,10 +254,12 @@ def _distinct(items, key):
 class _Sampled(NamedTuple):
     """The whole-line integrals of a stack of K configurations on n spectral
     nodes, leading axis K: `pairs` the AuxField.samples (row, col, G, G')
-    of both pairs as a (2, 4, K, n) array; E^L (K, n, 4) and E^R (K, 4, n)
-    (see build_E_vectors); (K1-hat e_2^L) (K, n, 2), (e_1^R K2-hat) (K, 2,
-    n) and the cross integral of the M-hat diagonal (K, n); and the
-    integral block of Q (K, 2, 2)."""
+    of both pairs as a (2, 4, K, n) array; E^L (K, n, 4) and E^R (K, 4, n),
+    whose components 3, 4 of E^L are (1 + (2/pi) K1-hat) e_2^L and
+    components 1, 2 of E^R are e_1^R (1 + (2/pi) K2-hat) (right action);
+    (K1-hat e_2^L) (K, n, 2), (e_1^R K2-hat) (K, 2, n) and the cross
+    integral of the M-hat diagonal (K, n); and the integral block of Q (K,
+    2, 2)."""
 
     pairs: np.ndarray
     EL: np.ndarray
@@ -425,7 +429,7 @@ def _quotient_sums(prod, exact, g1, g2):
     return sums1, sums2, cross
 
 
-def chosen_line_grid(cfg, policy=FINE_POLICY):
+def _chosen_line_grid(cfg, policy):
     """The line grid build_b integrates cfg on under policy: None for closed
     forms, which every whole-line integral has when the first pair is
     coincident (G_1 constant, so K_1 = 0) and the second equal-time (G_2 a
@@ -437,37 +441,13 @@ def chosen_line_grid(cfg, policy=FINE_POLICY):
     return build_line_grid(cfg, adapt_policy(cfg, policy))
 
 
-def _whole_line(cfgs, line_grid):
-    """The stack of cfgs damped on line_grid, or in closed form when None."""
-    return _ClosedForm(cfgs) if line_grid is None else _LineSamples(cfgs, line_grid)
-
-
-def whole_line_integrals(cfg, policy=FINE_POLICY, line_grid=None):
-    """The whole-line integrals of cfg, a stack of one: damped on line_grid
-    when one is given (which keeps the damped builders as the oracle of the
-    closed forms), else on chosen_line_grid(cfg, policy), or in closed form
-    when that is None."""
-    return _whole_line([cfg], chosen_line_grid(cfg, policy) if line_grid is None else line_grid)
-
-
-def build_E_vectors(whole_line, lam_grid):
-    """E^L (n x 4) and E^R (4 x n) sampled on lam_grid, from the
-    whole_line_integrals of a configuration.
-
-    Components 3,4 of E^L are (1 + (2/pi) K1-hat) e_2^L; components 1,2 of
-    E^R are e_1^R (1 + (2/pi) K2-hat) (right action).
-    """
-    sampled = whole_line.on(lam_grid)
-    return sampled.EL[0], sampled.ER[0]
-
-
-def _q_matrices(aux, q, strict):
+def _q_matrices(aux, q):
     """The (K, 4, 4) Q of a stack and each configuration's degenerate
     entries: Gaussian sigma_+ blocks, once per distinct pair (dy, dt), and
     the integral blocks q.
 
     Coincident pairs (dy = dt = 0) make the sigma_+ block a delta
-    distribution: DegenerateDelta when strict, entry 0 with a flag otherwise.
+    distribution: entry 0, flagged.
     """
     Q = np.zeros((len(aux), 4, 4), dtype=complex)
     Q[:, :2, 2:] = q
@@ -476,22 +456,12 @@ def _q_matrices(aux, q, strict):
         degenerate.append([])
         for block, a in zip((0, 2), pairs):
             if a.coincident:
-                if strict:
-                    raise DegenerateDelta(f"coincident pair {block // 2 + 1}: the sigma_+ block "
-                                          "of Q is gaussian_fresnel(0, 0), a delta distribution")
                 degenerate[k].append((block, block + 1))
                 continue
             if (a.dy, a.dt) not in fresnel:
                 fresnel[a.dy, a.dt] = gaussian_fresnel(a.dy, a.dt)
             Q[k, block, block + 1] = -fresnel[a.dy, a.dt]
     return Q, degenerate
-
-
-def build_Q(whole_line, strict=True):
-    """4x4 matrix Q and its degenerate entries (_q_matrices), from the
-    whole_line_integrals of a configuration."""
-    Q, degenerate = _q_matrices(whole_line.aux, whole_line.on(np.empty(0)).q, strict)
-    return Q[0], degenerate[0]
 
 
 @dataclass
@@ -540,14 +510,6 @@ def _m_hat(lam, sampled):
     return mat
 
 
-def build_M_operator(whole_line, quadrature, weight_fn=None):
-    """M-hat on the grid (_m_hat), from the whole_line_integrals of a
-    configuration."""
-    lam = quadrature.nodes
-    return DiscretizedOperator(quadrature=quadrature, matrix=_m_hat(lam, whole_line.on(lam))[0],
-                               scale=2.0 / math.pi, weight_fn=weight_fn)
-
-
 def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     """b = B + Q with B_{jk} = integral of F_j^R E_k^L over the spectral domain.
 
@@ -559,7 +521,7 @@ def build_b(cfg, ensemble, n=32, policy=FINE_POLICY, line_grid=None):
     and deltas.  It is the stack of one of _build_b_stack.
     """
     if line_grid is None:
-        line_grid = chosen_line_grid(cfg, policy)
+        line_grid = _chosen_line_grid(cfg, policy)
     return _build_b_stack([cfg], ensemble, n, line_grid)[0]
 
 
@@ -570,7 +532,7 @@ def _build_b_stack(cfgs, ensemble, n, line_grid):
     once."""
     quad, weight_fn = _spectral_grid(ensemble, n)
     lam = quad.nodes
-    whole_line = _whole_line(cfgs, line_grid)
+    whole_line = _ClosedForm(cfgs) if line_grid is None else _LineSamples(cfgs, line_grid)
     sampled = whole_line.on(lam)
     mat = _m_hat(lam, sampled)
     if not np.all(np.isfinite(mat)):
@@ -579,7 +541,7 @@ def _build_b_stack(cfgs, ensemble, n, line_grid):
     amat = np.eye(n) - (2.0 / math.pi) * (mat.transpose(0, 2, 1) * w)
     FR = np.linalg.solve(amat, sampled.ER.transpose(0, 2, 1)).transpose(0, 2, 1)   # (K, 4, n)
     B = (FR * w) @ sampled.EL
-    Q, degenerate = _q_matrices(whole_line.aux, sampled.q, strict=False)
+    Q, degenerate = _q_matrices(whole_line.aux, sampled.q)
     return [NlsMatrices(Q=Q[k], B=B[k], degenerate_entries=degenerate[k],
                         line_nodes=whole_line.line_nodes, deltas=whole_line.deltas)
             for k in range(len(cfgs))]
@@ -593,30 +555,26 @@ def _comm(a, b):
 LAX_MUS = (0.37, 1.1)
 
 
-def lax_compatibility_residual(cfg, ensemble, step, n=24, policy=FINE_POLICY, line_grid=None):
-    """Max-norm residuals of d_{t_j} L_k - d_{y_k} M_j + [L_k, M_j] = 0.
-
-    Derivatives of b are three-point central differences with the given
-    step; all stencil evaluations share one line grid, built once under the
-    policy as given (not adapted), so the quadrature bias differentiates
-    smoothly.  The base and its 40 shifts are one stack of _build_b_stack:
-    a shift moves one pair's (dy, dt), so the other pair's G samples serve
-    many configurations, and one reciprocal table and one spectral grid
-    serve all of them.
-    Returns a (4, 4) array of per-(j,k) residual norms, maximized over the
-    LAX_MUS values.
-    """
-    if line_grid is None:
-        line_grid = build_line_grid(cfg, policy)
-    return _lax_residuals(cfg, ensemble, (step,), n, line_grid)[1][0]
-
-
 def lax_check(cfg, ensemble, steps, n=24, policy=FINE_POLICY):
     """(b, stencil, residuals): build_b(cfg, ensemble, n, policy), the line
-    grid of the stencils and lax_compatibility_residual for each of the
-    steps, from one walk.  When build_b's grid is the stencils' (no closed
-    form, and adapt_policy leaves the policy), b is their base b."""
-    grid = chosen_line_grid(cfg, policy)
+    grid of the stencils and, for each of the steps, the (4, 4) max-norm
+    residuals of d_{t_j} L_k - d_{y_k} M_j + [L_k, M_j] = 0, maximized over
+    the LAX_MUS values.
+
+    Derivatives of b are three-point central differences with the step; all
+    stencil evaluations share one line grid, built once under the policy as
+    given (not adapted), so the quadrature bias differentiates smoothly.
+    The base and the 40 shifts of every step are one stack of
+    _build_b_stack: a shift moves one pair's (dy, dt), so the other pair's
+    G samples serve many configurations, and one reciprocal table and one
+    spectral grid serve all of them.  When build_b's grid is the stencils'
+    (no closed form, and adapt_policy leaves the policy), b is their base b.
+    A zero or non-finite step raises InvalidParameter.
+    """
+    for step in steps:
+        if not (math.isfinite(step) and step != 0.0):
+            raise InvalidParameter(f"lax-check step must be finite and non-zero, got {step}")
+    grid = _chosen_line_grid(cfg, policy)
     shared = grid is not None and adapt_policy(cfg, policy) is policy
     stencil = grid if shared else build_line_grid(cfg, policy)
     base, residuals = _lax_residuals(cfg, ensemble, steps, n, stencil)
@@ -644,8 +602,8 @@ def _stencil_shifts(step):
 
 def _lax_residuals(cfg, ensemble, steps, n, line_grid):
     """The NlsMatrices of cfg on line_grid and the residual matrices of
-    lax_compatibility_residual for each of the steps, from one stack of the
-    base configuration, evaluated once for every step, and the shifts."""
+    lax_check for each of the steps, from one stack of the base
+    configuration, evaluated once for every step, and the shifts."""
     configs = {(): cfg}
     for step in steps:
         for name, (dy, dt) in _stencil_shifts(step).items():
@@ -672,14 +630,15 @@ def _residual_matrix(b, step):
                    - b[(*yy, -1.0, 1.0)] + b[(*yy, -1.0, -1.0)]) / (4.0 * step ** 2)
             d2b[j][k] = val
             d2b[k][j] = val
-    res = np.zeros((4, 4))
+    res = np.zeros((4, 4, len(LAX_MUS)))
     for j in range(4):
         for k in range(4):
-            for mu in LAX_MUS:
+            for m, mu in enumerate(LAX_MUS):
                 # the Lax pair L_j(mu) = mu P_j + [b, P_j], M_j(mu) = -mu L_j(mu) + db/dy_j
                 L_k = mu * P_MATRICES[k] + _comm(b0, P_MATRICES[k])
                 M_j = -mu * (mu * P_MATRICES[j] + _comm(b0, P_MATRICES[j])) + db_dy[j]
                 r = (_comm(db_dt[j], P_MATRICES[k]) + mu * _comm(db_dy[k], P_MATRICES[j])
                      - d2b[j][k] + _comm(L_k, M_j))
-                res[j, k] = max(res[j, k], float(np.max(np.abs(r))))
-    return res
+                res[j, k, m] = np.max(np.abs(r))
+    # np.max, not max: a NaN residual stays NaN
+    return np.max(res, axis=2)

@@ -154,6 +154,24 @@ def pv_fresnel_hilbert_dlam(lam, y, t):
     return out if np.ndim(out) else complex(out)
 
 
+# |lam - s| below which a difference quotient of pv_fresnel_hilbert is taken
+# as hilbert_mean_slope: the quotient as it stands loses about
+# 1e-16/|lam - s| to cancellation, the two-point mean about
+# (lam - s)^4 H^(5)/4320
+NEAR_DIAGONAL = 1e-4
+
+
+def hilbert_mean_slope(lam, s, y, t):
+    """(H(lam) - H(s))/(lam - s), H = pv_fresnel_hilbert(., y, t), as the
+    mean of H' over [s, lam] by the two-point Gauss-Legendre rule; node
+    vectors lam and s."""
+    d = lam - s
+    mid = 0.5 * (lam + s)
+    gauss = np.stack([mid - d / (2.0 * math.sqrt(3.0)), mid + d / (2.0 * math.sqrt(3.0))])
+    lo, hi = pv_fresnel_hilbert_dlam(gauss, y, t)
+    return 0.5 * (lo + hi)
+
+
 def erf_antiderivative(r, sign):
     """Antiderivative of erf, z*erf(z) + exp(-z^2)/sqrt(pi), on the ray
     z = exp(i*sign*pi/4) * r, where z*erf(z) = sqrt(2) r (S + i sign C)

@@ -26,13 +26,7 @@ from bosefredholm.kernels import (
     kernel_L,
     kernel_V,
 )
-from bosefredholm.nls_system import (
-    FourPointConfig,
-    build_b,
-    build_M_operator,
-    lax_compatibility_residual,
-    whole_line_integrals,
-)
+from bosefredholm.nls_system import FourPointConfig, build_b, lax_check
 from bosefredholm.special_integrals import (
     RegularizationPolicy,
     gaussian_fresnel,
@@ -47,6 +41,7 @@ from bosefredholm.validate import (
     permutation_identity_error,
 )
 from test_kernels import kernel_P
+from test_nls_system import stack_of_one
 
 
 POL4 = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
@@ -144,11 +139,11 @@ def test_criterion_06_kernel_degeneration():
         t = float(rng.uniform(0.1, 0.7))
         cfg = FourPointConfig.correlation(x1, x2, t)
         quad = build_grid((-math.pi, math.pi), 16)
-        op = build_M_operator(whole_line_integrals(cfg, POL5), quad)
+        M = stack_of_one(cfg, quad.nodes, POL5)[1]
         g = GeometryParams(x2, x1, t)
         lam, mu = quad.nodes[:, None], quad.nodes[None, :]
         gauge = np.exp(0.5j * t * (lam ** 2 - mu ** 2))
-        worst = max(worst, float(np.max(np.abs(op.matrix - gauge * kernel_L(lam, mu, g)))))
+        worst = max(worst, float(np.max(np.abs(M - gauge * kernel_L(lam, mu, g)))))
     runtime = time.time() - t0
     ok = worst <= 1e-8
     assert _report(6, "four-point kernel degenerates to dynamical kernel "
@@ -192,8 +187,7 @@ def test_criterion_08_lax_compatibility(tt):
         label = "thermal"
     ratios = []
     for cfg in cfgs:
-        r1 = lax_compatibility_residual(cfg, pt, step=4e-3, n=12, policy=LAX_POLICY)
-        r2 = lax_compatibility_residual(cfg, pt, step=2e-3, n=12, policy=LAX_POLICY)
+        _, _, (r1, r2) = lax_check(cfg, pt, (4e-3, 2e-3), 12, LAX_POLICY)
         ratios.append(float(np.max(r1) / np.max(r2)))
     runtime = time.time() - t0
     ok = all(r >= 3.5 for r in ratios)

@@ -341,14 +341,11 @@ def test_entry_point_subprocess():
 
 
 def test_bf_threads_scan(tmp_path):
-    env = dict(os.environ, BF_THREADS="2")
+    # a 3-point scan runs its points in order, in one process
     out = tmp_path / "p.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "bosefredholm.cli", "correlate", "--eps", "+",
-         "--x1", "0.2:0.8:3", "--x2", "1.0", "--t", "0", "--D", "1",
-         "--n", "12", "--output", str(out)],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0
+    code = main(["correlate", "--eps", "+", "--x1", "0.2:0.8:3", "--x2", "1.0", "--t", "0",
+                 "--D", "1", "--n", "12", "--output", str(out)])
+    assert code == 0
     assert len(out.read_text().strip().split("\n")) == 4
 
 
@@ -392,6 +389,17 @@ def test_scans_flag_a_failing_point(tmp_path, monkeypatch, command, target, argv
     first, second = json.loads(out.read_text())
     assert first["flag"] == "" and math.isfinite(first["value_re"])
     assert second["flag"] == "numerical-failure" and second["value_re"] is None
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "inf"])
+def test_lax_check_rejects_a_step_without_a_stencil(capsys, step):
+    # a zero or non-finite step has no central differences: a one-line
+    # configuration error, not residuals of 0
+    assert main(["lax-check", "--step", step, "--n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "step" in lines[0]
 
 
 def test_lax_check_reports_its_line_grids(tmp_path):

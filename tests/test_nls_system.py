@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,17 +32,13 @@ from bosefredholm.nls_system import (
     adapt_policy,
     build_aux_fields,
     build_b,
-    build_E_vectors,
     build_line_grid,
-    build_M_operator,
-    build_Q,
-    lax_compatibility_residual,
     line_chirps,
     reciprocal_table,
-    whole_line_integrals,
 )
 from bosefredholm.special_integrals import (
     FINE_POLICY,
+    NEAR_DIAGONAL,
     RegularizationPolicy,
     damped_limit,
     damped_weights,
@@ -49,11 +46,24 @@ from bosefredholm.special_integrals import (
     graded_line_grid,
     pv_fresnel_hilbert,
 )
-from test_kernels import kernel_P
+from test_kernels import _hilbert_mp, kernel_P
 
 
 POL3 = RegularizationPolicy(damping=4e-3)
 POL4 = RegularizationPolicy(damping=4e-3, extrapolation_orders=4)
+
+
+def stack_of_one(cfg, lam, policy):
+    """(sampled, M, Q, degenerate) of cfg as build_b forms them under policy:
+    the _Sampled of the stack of one on the spectral nodes lam, M-hat on
+    lam, and Q with its flagged degenerate entries."""
+    import bosefredholm.nls_system as nls
+    lam = np.asarray(lam, dtype=float)
+    grid = nls._chosen_line_grid(cfg, policy)
+    stack = nls._ClosedForm([cfg]) if grid is None else nls._LineSamples([cfg], grid)
+    sampled = stack.on(lam)
+    Q, degenerate = nls._q_matrices(stack.aux, sampled.q)
+    return sampled, nls._m_hat(lam, sampled)[0], Q[0], degenerate[0]
 
 
 def test_aux_field_bookkeeping():
@@ -82,6 +92,23 @@ def test_aux_hilbert_vs_closed_form():
     # derivative consistent with a finite difference
     d = (a.hilbert(lam + 5e-7) - a.hilbert(lam - 5e-7)) / 1e-6
     assert np.allclose(a.hilbert_deriv(lam), d, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
+       st.floats(-3.0, 3.0))
+@pytest.mark.parametrize("d", (1e-9, 1.01e-7, 1e-6, 1e-5, 0.99e-4, 1.01e-4, 1e-3))
+def test_hilbert_diffquot_equals_mpmath_oracle(d, dy, dt, lam):
+    # below NEAR_DIAGONAL the quotient is the two-point Gauss-Legendre mean
+    # of G' (off by d^4 G^(5)/4320), above it the quotient as it stands
+    # (rounding of about 1e-16/d): either side holds 1e-11
+    a = AuxField(0.0, 0.0, dy, dt)
+    s = lam + d
+    with mp.workdps(40):
+        x, y, t = (mp.mpf(v) for v in (lam, s, a.dt))
+        ref = complex((_hilbert_mp(x, a.dy, t) - _hilbert_mp(y, a.dy, t)) / (x - y) / (2 * mp.pi))
+    got = a.hilbert_diffquot(np.array([lam]), np.array([s]))[0]
+    assert abs(got - ref) <= 1e-11 * (1.0 + abs(ref))
 
 
 def e_left(aux, lam, g=None):
@@ -133,10 +160,10 @@ def test_K_p_kernel_and_diagonal():
 def test_E_vector_bare_components():
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     lam = np.linspace(-1.0, 1.0, 7)
-    EL, ER = build_E_vectors(whole_line_integrals(cfg, POL3), lam)
+    sampled = stack_of_one(cfg, lam, POL3)[0]
     a1, a2 = build_aux_fields(cfg)
-    assert np.allclose(EL[:, :2], e_left(a1, lam), atol=1e-14)
-    assert np.allclose(ER[2:, :], e_right(a2, lam), atol=1e-14)
+    assert np.allclose(sampled.EL[0][:, :2], e_left(a1, lam), atol=1e-14)
+    assert np.allclose(sampled.ER[0][2:, :], e_right(a2, lam), atol=1e-14)
 
 
 def test_E_vector_degenerate_first_pair():
@@ -144,7 +171,7 @@ def test_E_vector_degenerate_first_pair():
     # so K1 vanishes and components 3,4 of E^L reduce to e_2^L
     cfg = FourPointConfig(y=(0.3, 0.3, -0.5, 0.9), t=(0.2, 0.2, 0.0, 0.4))
     lam = np.linspace(-1.0, 1.0, 6)
-    EL, _ = build_E_vectors(whole_line_integrals(cfg, POL3), lam)
+    EL = stack_of_one(cfg, lam, POL3)[0].EL[0]
     a2 = build_aux_fields(cfg)[1]
     assert np.allclose(EL[:, 2:], e_left(a2, lam), atol=1e-12)
 
@@ -153,17 +180,16 @@ def test_E_vector_closed_ode_in_y():
     # d/dy_j E^R = (mu P_j + [Q, P_j]) E^R with O(step^2) convergence
     cfg = FourPointConfig(y=(0.15, 0.45, -0.35, 0.8), t=(0.1, 0.32, -0.2, 0.55))
     mus = np.array([0.37, -0.9])
-    Q, _ = build_Q(whole_line_integrals(cfg, POL3))
-    _, ER0 = build_E_vectors(whole_line_integrals(cfg, POL3), mus)
+    sampled, _, Q, _ = stack_of_one(cfg, mus, POL3)
+    ER0 = sampled.ER[0]
     worst = {}
     for step in (2e-3, 1e-3):
         worst[step] = 0.0
         for j in range(4):
             dy = [0.0] * 4
             dy[j] = step
-            _, ERp = build_E_vectors(whole_line_integrals(cfg.shifted(dy=tuple(dy)), POL3), mus)
-            _, ERm = build_E_vectors(
-                whole_line_integrals(cfg.shifted(dy=tuple(-v for v in dy)), POL3), mus)
+            ERp = stack_of_one(cfg.shifted(dy=tuple(dy)), mus, POL3)[0].ER[0]
+            ERm = stack_of_one(cfg.shifted(dy=tuple(-v for v in dy)), mus, POL3)[0].ER[0]
             fd = (ERp - ERm) / (2 * step)
             for k, mu in enumerate(mus):
                 lj = mu * P_MATRICES[j] + (Q @ P_MATRICES[j] - P_MATRICES[j] @ Q)
@@ -176,23 +202,22 @@ def test_E_vector_closed_ode_in_t():
     # d/dt_j E^R = m_j(mu) E^R with m_j = -mu l_j + dQ/dy_j
     cfg = FourPointConfig(y=(0.15, 0.45, -0.35, 0.8), t=(0.1, 0.32, -0.2, 0.55))
     mus = np.array([0.37, -0.9])
-    Q, _ = build_Q(whole_line_integrals(cfg, POL3))
-    _, ER0 = build_E_vectors(whole_line_integrals(cfg, POL3), mus)
+    sampled, _, Q, _ = stack_of_one(cfg, mus, POL3)
+    ER0 = sampled.ER[0]
     step = 2e-3
     dQ_dy = []
     for j in range(4):
         dy = [0.0] * 4
         dy[j] = step
-        Qp, _ = build_Q(whole_line_integrals(cfg.shifted(dy=tuple(dy)), POL3))
-        Qm, _ = build_Q(whole_line_integrals(cfg.shifted(dy=tuple(-v for v in dy)), POL3))
+        Qp = stack_of_one(cfg.shifted(dy=tuple(dy)), (), POL3)[2]
+        Qm = stack_of_one(cfg.shifted(dy=tuple(-v for v in dy)), (), POL3)[2]
         dQ_dy.append((Qp - Qm) / (2 * step))
     worst = 0.0
     for j in range(4):
         dt = [0.0] * 4
         dt[j] = step
-        _, ERp = build_E_vectors(whole_line_integrals(cfg.shifted(dt=tuple(dt)), POL3), mus)
-        _, ERm = build_E_vectors(
-            whole_line_integrals(cfg.shifted(dt=tuple(-v for v in dt)), POL3), mus)
+        ERp = stack_of_one(cfg.shifted(dt=tuple(dt)), mus, POL3)[0].ER[0]
+        ERm = stack_of_one(cfg.shifted(dt=tuple(-v for v in dt)), mus, POL3)[0].ER[0]
         fd = (ERp - ERm) / (2 * step)
         for k, mu in enumerate(mus):
             lj = mu * P_MATRICES[j] + (Q @ P_MATRICES[j] - P_MATRICES[j] @ Q)
@@ -203,7 +228,7 @@ def test_E_vector_closed_ode_in_t():
 
 def test_Q_structure():
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
-    Q, degenerate = build_Q(whole_line_integrals(cfg, POL3))
+    _, _, Q, degenerate = stack_of_one(cfg, (), POL3)
     assert not degenerate
     assert np.all(Q[2:, :2] == 0.0)           # lower-left block vanishes
     assert Q[0, 0] == 0.0 and Q[1, 1] == 0.0  # sigma_+ blocks are strictly upper
@@ -213,9 +238,7 @@ def test_Q_structure():
 
 def test_Q_degenerate_flagging():
     cfg = FourPointConfig(y=(0.3, 0.3, -0.5, 0.9), t=(0.2, 0.2, 0.0, 0.4))
-    with pytest.raises(DegenerateDelta):
-        build_Q(whole_line_integrals(cfg, POL3), strict=True)
-    Q, degenerate = build_Q(whole_line_integrals(cfg, POL3), strict=False)
+    _, _, Q, degenerate = stack_of_one(cfg, (), POL3)
     assert degenerate == [(0, 1)]
     assert Q[0, 1] == 0.0
 
@@ -239,16 +262,13 @@ def test_coincident_pair_makes_no_raising_gaussian_fresnel_call(monkeypatch):
     assert raised == []
     assert mats.degenerate_entries == [(0, 1)]
     assert mats.Q[0, 1] == 0.0
-    with pytest.raises(DegenerateDelta):
-        build_Q(whole_line_integrals(FourPointConfig.correlation(0.0, 0.9, 0.4)), strict=True)
-    assert raised == []
 
 
 def test_Q14_closed_form_at_correlation_cfg():
     # at the correlation configuration the (1,4) entry collapses to G(x1+x2)
     x1, x2, t = 0.35, 0.9, 0.3
     cfg = FourPointConfig.correlation(x1, x2, t)
-    Q, _ = build_Q(whole_line_integrals(cfg, POL4))
+    Q = stack_of_one(cfg, (), POL4)[2]
     assert abs(Q[0, 3] - gaussian_fresnel(x1 + x2, t)) < 1e-8
 
 
@@ -259,11 +279,11 @@ def test_four_point_kernel_degeneration():
     x1, x2, t = 0.35, 0.9, 0.3
     cfg = FourPointConfig.correlation(x1, x2, t)
     quad = build_grid((-math.pi, math.pi), 12)
-    op = build_M_operator(whole_line_integrals(cfg, POL3), quad)
+    M = stack_of_one(cfg, quad.nodes, POL3)[1]
     g = GeometryParams(x2, x1, t)
     lam, mu = quad.nodes[:, None], quad.nodes[None, :]
     gauge = np.exp(0.5j * t * (lam ** 2 - mu ** 2))
-    worst = np.max(np.abs(op.matrix - gauge * kernel_L(lam, mu, g)))
+    worst = np.max(np.abs(M - gauge * kernel_L(lam, mu, g)))
     assert worst < 1e-6
 
 
@@ -288,7 +308,7 @@ def test_b_small_q_tends_to_Q():
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     pt = PhysicalPoint(0.5, 0.5, 0.0, NEUMANN, ThermalParams(h=1.0, T=0.0), D=1e-4 / math.pi)
     mats = build_b(cfg, pt, n=8, policy=POL3)
-    Q, _ = build_Q(whole_line_integrals(cfg, POL3))
+    Q = stack_of_one(cfg, (), POL3)[2]
     assert np.max(np.abs(mats.B)) < 1e-3
     assert np.max(np.abs(mats.b - Q)) < 1e-3
 
@@ -417,12 +437,15 @@ def test_criterion_8_line_grid_size():
 
 
 def _diffquot_oracle(aux, lam, s, g_lam, g_s):
-    """(G(lam) - G(s))/(lam - s) as one division per entry; G' at the
-    midpoint where |lam - s| < 1e-7."""
+    """(G(lam) - G(s))/(lam - s) as one division per entry; where |lam - s|
+    < NEAR_DIAGONAL the mean of G' at the two Gauss-Legendre points of [s,
+    lam]."""
     den = lam - s
-    small = np.abs(den) < 1e-7
+    small = np.abs(den) < NEAR_DIAGONAL
     out = np.asarray((g_lam - g_s) / np.where(small, 1.0, den), dtype=complex)
-    out[small] = aux.hilbert_deriv(np.broadcast_to(0.5 * (lam + s), out.shape)[small])
+    lam, s = (np.broadcast_to(v, out.shape)[small] for v in (lam, s))
+    mid, half = 0.5 * (lam + s), (lam - s) / (2.0 * math.sqrt(3.0))
+    out[small] = 0.5 * (aux.hilbert_deriv(mid - half) + aux.hilbert_deriv(mid + half))
     return out
 
 
@@ -450,11 +473,12 @@ def _damped_integrals_oracle(cfg, lam, nodes, damped):
 @st.composite
 def _lam_near_nodes(draw, nodes):
     """Spectral points, some on line nodes or within 1e-7 of one, some just
-    outside that band."""
+    outside that, some just inside or outside NEAR_DIAGONAL."""
     lam = [draw(st.floats(-3.0, 3.0, **_FINITE)) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(1, 5))):
         s = float(nodes[draw(st.integers(0, len(nodes) - 1))])
-        offset = draw(st.sampled_from((0.0, 0.5e-7, -0.9e-7, 1.1e-7, -2e-7)))
+        offset = draw(st.sampled_from((0.0, 0.5e-7, -0.9e-7, 1.1e-7, -2e-7,
+                                       0.99e-4, -0.99e-4, 1.01e-4, -1.01e-4)))
         lam.append(s + offset)
     return np.array(lam)
 
@@ -464,8 +488,9 @@ _ORACLE_POLICY = RegularizationPolicy(damping=0.5)
 
 def _integrals(cfg, grid, lam):
     """(K1-hat e_2^L)(lam), (e_1^R K2-hat)(lam) and the cross integral of
-    cfg damped on grid, from its whole_line_integrals (a stack of one)."""
-    sampled = whole_line_integrals(cfg, line_grid=grid).on(lam)
+    cfg damped on grid, a stack of one."""
+    import bosefredholm.nls_system as nls
+    sampled = nls._LineSamples([cfg], grid).on(lam)
     return sampled.compL[0], sampled.compR[0], sampled.cross[0]
 
 
@@ -521,8 +546,8 @@ def test_b_reports_the_line_grid_it_used():
 
 # -- one line grid shared by the Lax stencil --------------------------------
 
-def _stencil(cfg, pt, grid, step=4e-3, n=8, policy=FINE_POLICY):
-    """(cfg, b) of every configuration that lax_compatibility_residual
+def _stencil(cfg, pt, grid, step=4e-3, n=8):
+    """(cfg, b) of every configuration that the Lax stencil of one step
     stacks on grid, in order."""
     import bosefredholm.nls_system as nls
     calls = []
@@ -534,8 +559,21 @@ def _stencil(cfg, pt, grid, step=4e-3, n=8, policy=FINE_POLICY):
         return mats
 
     with mock.patch.object(nls, "_build_b_stack", recording):
-        lax_compatibility_residual(cfg, pt, step=step, n=n, policy=policy, line_grid=grid)
+        nls._lax_residuals(cfg, pt, (step,), n, grid)
     return calls
+
+
+def test_residual_matrix_keeps_a_nan():
+    # a NaN in one stencil b makes its residuals NaN: the fold over LAX_MUS
+    # does not drop it
+    import bosefredholm.nls_system as nls
+    step = 4e-3
+    b = {name: np.zeros((4, 4), dtype=complex)
+         for name in [(), *((step, *shift) for shift in _stencil_shifts(step))]}
+    b[step, 't', 0, 1.0] = np.full((4, 4), np.nan)
+    res = nls._residual_matrix(b, step)
+    assert np.isnan(res[0]).all()
+    assert np.isfinite(res[1:]).all()
 
 
 @settings(max_examples=10, deadline=None)
@@ -546,7 +584,7 @@ def test_stencil_b_on_shared_grid_equals_fresh_grid_oracle(cfg, T):
     # grid that has sampled nothing yet
     pt = _point(T)
     grid = build_line_grid(cfg, _ORACLE_POLICY)
-    calls = [(c, 8, b) for c, b in _stencil(cfg, pt, grid, policy=_ORACLE_POLICY)]
+    calls = [(c, 8, b) for c, b in _stencil(cfg, pt, grid)]
     calls += [(cfg, n, build_b(cfg, pt, n=n, line_grid=grid).b) for n in (8, 6)]
     assert len(calls) == 43
     for c, n, b in calls:
@@ -673,7 +711,7 @@ def test_stencil_builds_one_spectral_grid(monkeypatch):
     monkeypatch.setattr(nls, "build_grid", counting)
     for T in (0.0, 0.4):
         built.clear()
-        lax_compatibility_residual(cfg, _point(T), step=4e-3, n=8, line_grid=grid)
+        _stencil(cfg, _point(T), grid)
         assert built == [8]
 
 
