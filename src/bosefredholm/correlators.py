@@ -25,10 +25,10 @@ from .kernels import (
     GeometryParams,
     ThermalParams,
     dynamical_nystrom,
-    fermi_weight,
     kernel_K_static,
     kernel_theta,
     kernel_W,
+    spectral_grid,
 )
 from .special_integrals import gaussian_fresnel
 
@@ -78,14 +78,17 @@ class CorrelationResult:
 
 
 def density_of_temperature(p, n=400):
-    """D(T) = (1/pi) * integral of the Fermi weight over [0, inf)."""
+    """D(T) = (1/pi) * integral of the Fermi weight over [0, inf); at T = 0
+    the closed form sqrt(h)/pi."""
     if p.T == 0.0:
         return math.sqrt(p.h) / math.pi
-    quad = build_grid((0.0, math.inf), n, thermal=p)
-    return float(np.sum(quad.weights * fermi_weight(quad.nodes, p)) / math.pi)
+    quad, weight_fn = spectral_grid(p, math.sqrt(p.h), n)
+    return float(np.sum(quad.weights * weight_fn(quad.nodes)) / math.pi)
 
 
-def _assemble(pt, quad, weight_fn):
+def _assemble(pt, m, tol):
+    """(value, det, deriv, truncation) on m nodes of the point's spectral grid."""
+    quad, weight_fn = spectral_grid(pt.thermal, pt.q, m, tol=tol)
     mat, f, g = dynamical_nystrom(quad.nodes, pt.kind, GeometryParams(pt.x1, pt.x2, pt.t))
     op = DiscretizedOperator(quadrature=quad, matrix=mat, scale=2.0 / math.pi,
                              weight_fn=weight_fn)
@@ -96,19 +99,18 @@ def _assemble(pt, quad, weight_fn):
     gsum = gaussian_fresnel(pt.x1 - pt.x2, pt.t) + eps * gaussian_fresnel(pt.x1 + pt.x2, pt.t)
     phase = np.exp(-1j * pt.thermal.h * pt.t)
     value = phase * (gsum * det + deriv / (2.0 * math.pi))
-    return complex(value), complex(det), complex(deriv)
+    return complex(value), complex(det), complex(deriv), quad.truncation
 
 
-def _correlation(pt, n, with_error, build):
+def _correlation(pt, n, with_error, tol=1e-14):
     if with_error:
-        half = build(max(8, n // 2))
-        full = build(n)
+        half = _assemble(pt, max(8, n // 2), tol)
+        full = _assemble(pt, n, tol)
         err = abs(full[0] - half[0])
     else:
-        full = build(n)
+        full = _assemble(pt, n, tol)
         err = float("nan")
-    value, det, deriv = full[:3]
-    truncation = full[3]
+    value, det, deriv, truncation = full
     return CorrelationResult(value=value, det_part=det, derivative_part=deriv,
                              grid_size=n, truncation=truncation, error_estimate=err)
 
@@ -117,51 +119,29 @@ def correlation_ground(pt, n=64, with_error=True):
     """Ground-state dynamical correlator (T = 0, Fermi sphere [0, pi*D])."""
     if pt.thermal.T != 0.0:
         raise InvalidParameter("correlation_ground requires T = 0")
-
-    def build(m):
-        quad = build_grid((0.0, pt.q), m)
-        value, det, deriv = _assemble(pt, quad, None)
-        return value, det, deriv, 0.0
-
-    return _correlation(pt, n, with_error, build)
+    return _correlation(pt, n, with_error)
 
 
 def correlation_thermal(pt, n=64, with_error=True, tol=1e-14):
     """Finite-temperature dynamical correlator on the truncated half line.
 
     The Fermi weight enters as the operator weight, i.e. the determinant of
-    the sqrt(theta)-conjugated symmetric kernel.  A T = 0 request falls back
-    to the indicator weight on [0, sqrt(h)].  `tol` sets the domain
-    truncation through the Fermi-weight decay bound.
+    the sqrt(theta)-conjugated symmetric kernel.  `tol` sets the domain
+    truncation through the Fermi-weight decay bound.  T = 0 is
+    correlation_ground's and raises InvalidParameter.
     """
-    p = pt.thermal
-    if p.T == 0.0:
-        def build(m):
-            quad = build_grid((0.0, math.sqrt(p.h)), m)
-            value, det, deriv = _assemble(pt, quad, None)
-            return value, det, deriv, math.sqrt(p.h)
-    else:
-        def build(m):
-            quad = build_grid((0.0, math.inf), m, thermal=p, tol=tol)
-            value, det, deriv = _assemble(pt, quad, lambda lam: fermi_weight(lam, p))
-            return value, det, deriv, quad.truncation
-
-    return _correlation(pt, n, with_error, build)
+    if pt.thermal.T == 0.0:
+        raise InvalidParameter("correlation_thermal requires T > 0")
+    return _correlation(pt, n, with_error, tol)
 
 
 def boundary_w_det(x, t, pt, n=64):
     """det(1 - (2/pi) W-hat) for the x1 = 0 Neumann route.
 
-    Ground state: W on [0, q]; thermal: Fermi-weighted W on the truncated
-    half line.  Independent of t at fixed x.
+    W on the point's spectral grid: [0, q] at T = 0, Fermi-weighted on the
+    truncated half line at T > 0.  Independent of t at fixed x.
     """
-    p = pt.thermal
-    if p.T == 0.0:
-        quad = build_grid((0.0, pt.q), n)
-        weight_fn = None
-    else:
-        quad = build_grid((0.0, math.inf), n, thermal=p)
-        weight_fn = lambda lam: fermi_weight(lam, p)
+    quad, weight_fn = spectral_grid(pt.thermal, pt.q, n)
     op = DiscretizedOperator.from_kernel(
         lambda a, b: kernel_W(a, b, x).astype(complex), quad, 2.0 / math.pi,
         weight_fn=weight_fn)

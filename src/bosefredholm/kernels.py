@@ -6,6 +6,8 @@ Nystrom matrix is one call on an (n, 1) x (1, n) mesh; diagonals are
 analytic limits.  The dynamical route's matrix and rank-one factors come
 from dynamical_nystrom: one Hilbert table and one separable product, with
 the broadcast kernel_L recipe kept for the entries near lam = +-mu.
+spectral_grid is the ensemble's spectral measure: the one place that picks
+the Fermi sea or the Fermi-weighted line.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .fredholm import thermal_cut
+from .fredholm import build_grid, thermal_cut
 from .special_integrals import (
     NEAR_DIAGONAL,
     fresnel_kink_integral,
@@ -78,6 +80,23 @@ def fermi_weight(lam, p):
     else:
         out = 1.0 / (1.0 + np.exp(np.clip((lam * lam - p.h) / p.T, -700.0, 700.0)))
     return out if np.ndim(out) else float(out)
+
+
+def spectral_grid(p, q, n, tol=1e-14, whole_line=False):
+    """(Quadrature, weight_fn) of the ensemble's spectral measure on n nodes.
+
+    T = 0: the Fermi sea [0, q] with unit weight (weight_fn None); T > 0:
+    [0, thermal_cut(h, T, tol)] with the Fermi weight.  whole_line takes the
+    symmetric domain, [-q, q] or [-cut, cut].
+    """
+    if p.T == 0.0:
+        return build_grid((-q if whole_line else 0.0, q), n), None
+    if whole_line:
+        cut = thermal_cut(p.h, p.T, tol)
+        quad = build_grid((-cut, cut), n)
+    else:
+        quad = build_grid((0.0, math.inf), n, thermal=p, tol=tol)
+    return quad, lambda lam: fermi_weight(lam, p)
 
 
 def _sinc(x, u):

@@ -8,8 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
-from .fredholm import build_grid, thermal_cut
-from .kernels import fermi_weight
+from .kernels import spectral_grid
 from .special_integrals import (
     FINE_POLICY,
     NEAR_DIAGONAL,
@@ -481,21 +480,6 @@ class NlsMatrices:
         return self.B + self.Q
 
 
-def _spectral_grid(ensemble, n):
-    """Symmetric spectral grid and pointwise weight for the ensemble.
-
-    T = 0: [-q, q] with unit weight; T > 0: truncated line with the Fermi
-    weight.
-    """
-    p = ensemble.thermal
-    if p.T == 0.0:
-        quad = build_grid((-ensemble.q, ensemble.q), n)
-        return quad, None
-    cut = thermal_cut(p.h, p.T)
-    quad = build_grid((-cut, cut), n)
-    return quad, lambda lam: fermi_weight(lam, p)
-
-
 def _m_hat(lam, sampled):
     """M-hat of a stack on lam (K, n, n): kernel -(pi/2) E^L(lam).E^R(mu)/(lam
     - mu) off the diagonal, and on it the analytic limit -A1 B1 G1' - A2 B2
@@ -530,7 +514,7 @@ def _build_b_stack(cfgs, ensemble, n, line_grid):
     all on line_grid (closed forms when None) and on one spectral grid: E
     vectors, M-hat, the resolvent solves, B and Q for the whole stack at
     once."""
-    quad, weight_fn = _spectral_grid(ensemble, n)
+    quad, weight_fn = spectral_grid(ensemble.thermal, ensemble.q, n, whole_line=True)
     lam = quad.nodes
     whole_line = _ClosedForm(cfgs) if line_grid is None else _LineSamples(cfgs, line_grid)
     sampled = whole_line.on(lam)

@@ -46,15 +46,15 @@ def gaussian_fresnel_error(points, policy):
         damped = damped_line_integral(
             lambda s: np.exp(1j * t * s * s - 1j * x * s) / (2.0 * math.pi),
             policy, phase_scale=abs(t))
-        worst = max(worst, abs(closed - damped) / (1.0 + abs(closed)))
+        worst = np.maximum(worst, abs(closed - damped) / (1.0 + abs(closed)))
     return worst
 
 
 def hilbert_conjugation_error(seed, draws, span):
     """Worst |conj H(lam, y, t) - H(lam, -y, -t)| at random (lam, y, t) in [-span, span]."""
     rng = np.random.default_rng(seed)
-    return max(abs(np.conj(pv_fresnel_hilbert(lam, y, t)) - pv_fresnel_hilbert(lam, -y, -t))
-               for lam, y, t in rng.uniform(-span, span, size=(draws, 3)))
+    return np.max([abs(np.conj(pv_fresnel_hilbert(lam, y, t)) - pv_fresnel_hilbert(lam, -y, -t))
+                   for lam, y, t in rng.uniform(-span, span, size=(draws, 3))])
 
 
 def hilbert_quadrature_error(points, policy):
@@ -70,7 +70,7 @@ def hilbert_quadrature_error(points, policy):
             lambda s: np.exp(1j * t * s * s - 1j * y * s)
             * extrapolated_weights(s, np.ones(len(s)), policy.deltas),
             lam, window=window, n_panels=n_panels)
-        worst = max(worst, abs(closed - orc) / (1.0 + abs(closed)))
+        worst = np.maximum(worst, abs(closed - orc) / (1.0 + abs(closed)))
     return worst
 
 
@@ -81,7 +81,7 @@ def kernel_reflection_error(seed, draws, geometries):
     for geom in geometries:
         g = GeometryParams(*geom)
         lam, mu = rng.uniform(-2.5, 2.5, size=(draws, 2)).T
-        worst = max(worst, np.max(np.abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g))))
+        worst = np.maximum(worst, np.max(np.abs(kernel_L(lam, -mu, g) - kernel_L(-lam, mu, g))))
     return worst
 
 
@@ -89,9 +89,9 @@ def theta_static_error(h, grid):
     """Worst |theta - K_static(sqrt h)| at T = 0 on the grid mesh, both walls."""
     p0 = ThermalParams(h=h, T=0.0)
     xi, eta = grid[:, None], grid[None, :]
-    return max(np.max(np.abs(kernel_theta(xi, eta, kind, p0)
-                             - kernel_K_static(xi, eta, kind, math.sqrt(h))))
-               for kind in _WALLS)
+    return np.max([np.abs(kernel_theta(xi, eta, kind, p0)
+                          - kernel_K_static(xi, eta, kind, math.sqrt(h)))
+                   for kind in _WALLS])
 
 
 def permutation_identity_error(seed, orders, draws):
@@ -104,7 +104,7 @@ def permutation_identity_error(seed, orders, draws):
             f = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
             g = rng.normal(size=(N + 1, N)) + 1j * rng.normal(size=(N + 1, N))
             lhs, rhs = permutation_identity_check(N, f, g)
-            worst = max(worst, abs(lhs - rhs))
+            worst = np.maximum(worst, abs(lhs - rhs))
     return worst
 
 
@@ -123,7 +123,7 @@ def form_factor_error(seed, orders, x_max, nodes):
             inp = FormFactorInput(I_lam=ils, I_mu=ims, x=float(rng.uniform(0.3, x_max)),
                                   kind=kind, L=math.pi)
             direct = form_factor_direct(inp, n=nodes[N])
-            worst = max(worst, abs(form_factor(inp) - direct) / max(abs(direct), 1e-30))
+            worst = np.maximum(worst, abs(form_factor(inp) - direct) / max(abs(direct), 1e-30))
     return worst
 
 
@@ -136,9 +136,9 @@ def orthogonality_error(groups):
         systems = [FiniteSystem(L=L, kind=kind, I=I) for I in states]
         for i, sa in enumerate(systems):
             norm = (2 * L) ** sa.N
-            worst_diag = max(worst_diag, abs(orthogonality_check(sa, sa) - norm) / norm)
+            worst_diag = np.maximum(worst_diag, abs(orthogonality_check(sa, sa) - norm) / norm)
             for sb in systems[i + 1:]:
-                worst_off = max(worst_off, abs(orthogonality_check(sa, sb)) / norm)
+                worst_off = np.maximum(worst_off, abs(orthogonality_check(sa, sb)) / norm)
     return worst_diag, worst_off
 
 
@@ -152,7 +152,7 @@ def route_equivalence_error(orders, times, lam_max, damped):
             for t in times:
                 a = finite_L_correlation(sys, 0.7, 1.9, t, lam_max=lam_max, damped=damped)
                 b = proposition_determinant(sys, 0.7, 1.9, t, lam_max=lam_max, mode="matched")
-                worst = max(worst, abs(a - b) / (1.0 + abs(a)))
+                worst = np.maximum(worst, abs(a - b) / (1.0 + abs(a)))
     return worst
 
 
@@ -173,8 +173,8 @@ def finite_box_dynamical_error(kinds, points):
             small, large = (proposition_determinant(FiniteSystem.ground_state(int(L), L, kind),
                                                     x1, x2, t, lam_max=240.0, h=1.0)
                             for L in (box, 2.0 * box))
-            worst = max(worst, abs(2.0 * large - small - target))
-            worst_ratio = max(worst_ratio, abs(large - target) / abs(small - target))
+            worst = np.maximum(worst, abs(2.0 * large - small - target))
+            worst_ratio = np.maximum(worst_ratio, abs(large - target) / abs(small - target))
     return worst, worst_ratio
 
 
@@ -206,7 +206,7 @@ def boundary_dynamical_error(points, T, n, n_spectral):
         pt = PhysicalPoint(0.0, x, t, NEUMANN, p, D=1.0 if T == 0.0 else 0.0)
         ref = _value(0.0, x, t, NEUMANN, T, n)
         val = correlation_boundary_neumann(x, t, pt, n=n, n_spectral=n_spectral)
-        worst = max(worst, abs(val - ref) / abs(ref))
+        worst = np.maximum(worst, abs(val - ref) / abs(ref))
     return worst
 
 
@@ -230,8 +230,8 @@ CHECKS = {
     "permutation": ("permutation/determinant identity", 1e-12,
                     lambda: permutation_identity_error(seed=11, orders=(1, 2, 3), draws=10)),
     "orthogonality": ("state orthogonality (N=1)", 1e-10,
-                      lambda: max(orthogonality_error(((NEUMANN, ((0,), (2,))),
-                                                       (DIRICHLET, ((1,), (3,))))))),
+                      lambda: np.max(orthogonality_error(((NEUMANN, ((0,), (2,))),
+                                                          (DIRICHLET, ((1,), (3,))))))),
     "null": ("Dirichlet correlator vanishes at the wall", 1e-10,
              lambda: dirichlet_null_ratio(T=0.0, n=48)),
     "density": ("density T->0 limit sqrt(h)/pi", 1e-3, lambda: density_limit_error(1e-4)),
@@ -249,8 +249,9 @@ CHECKS = {
     "static": ("static minor equals dynamic value at t=0", 1e-9,
                lambda: static_dynamic_error(NEUMANN, n_dynamic=100, n_static=90)),
     "boundary": ("x1=0 boundary route equals dynamical route at T>0", 1e-10,
-                 lambda: max(boundary_dynamical_error(((0.2, 0.1), (1.1, 0.55), (2.0, 1.0)), T,
-                                                      n=72, n_spectral=128) for T in (0.3, 1.0))),
+                 lambda: np.max([boundary_dynamical_error(((0.2, 0.1), (1.1, 0.55), (2.0, 1.0)),
+                                                          T, n=72, n_spectral=128)
+                                 for T in (0.3, 1.0)])),
     "finite-box": ("finite box extrapolates to dynamical route at t>0", 1e-3,
                    lambda: finite_box_dynamical_error(
                        _WALLS, ((0.3, 0.9, 0.1, 32.0), (0.3, 0.9, 0.3, 32.0),

@@ -316,6 +316,26 @@ def test_suite_check_fails_on_perturbed_subject(monkeypatch, subject, argv, chec
     assert code == 2 and passed[validate.CHECKS[check][0]] is False
 
 
+def test_nan_measurement_fails_its_row(monkeypatch):
+    # a NaN in any fold is the row's metric, and the row fails: in a
+    # measurement's running worst (reflection) and in the second slot of
+    # the orthogonality pair
+    import numpy as np
+
+    import bosefredholm.validate as validate
+
+    kernel_L, check = validate.kernel_L, validate.orthogonality_check
+    monkeypatch.setattr(validate, "kernel_L", lambda lam, mu, g: np.where(
+        np.asarray(lam) > 0, np.nan, kernel_L(lam, mu, g)))
+    monkeypatch.setattr(validate, "orthogonality_check",
+                        lambda sa, sb: check(sa, sb) if sa is sb else np.nan)
+    rows = {r["name"]: r for r in validate.run_suite("fast")}
+    for key in ("reflection", "orthogonality"):
+        row = rows[validate.CHECKS[key][0]]
+        assert math.isnan(row["metric"]) and row["passed"] is False, key
+    assert rows[validate.CHECKS["theta"][0]]["passed"] is True
+
+
 @pytest.mark.parametrize("argv", [["lax-check", "--damping", "1e-9"],
                                   ["lax-check", "--orders", "40"]])
 def test_unbuildable_line_grid_is_a_one_line_configuration_error(capsys, argv):

@@ -54,6 +54,8 @@ def test_out_of_domain_evaluator_parameters_raise_invalid_parameter():
         correlation_boundary_neumann(0.5, 0.3, PhysicalPoint(0.0, 0.5, 0.3, DIRICHLET, ground, D=1.0))
     with pytest.raises(InvalidParameter, match="T = 0"):
         correlation_ground(PhysicalPoint(0.2, 0.5, 0.3, NEUMANN, ThermalParams(h=1.0, T=0.4)))
+    with pytest.raises(InvalidParameter, match="T > 0"):
+        correlation_thermal(PhysicalPoint(0.3, 0.8, 0.2, NEUMANN, ground, D=1.0))
     for momentum in (0.0, -1.0):
         with pytest.raises(InvalidParameter, match="momentum"):
             static_ground_K(0.2, 0.5, NEUMANN, momentum)
@@ -107,15 +109,6 @@ def test_error_estimate_bounds_next_doubling():
     r64 = correlation_thermal(pt, n=64)     # compares n=32 vs 64
     r128 = correlation_thermal(pt, n=128)   # compares n=64 vs 128
     assert r128.error_estimate <= r64.error_estimate + 1e-14
-
-
-def test_thermal_t0_fallback_matches_ground():
-    # thermal evaluator at T=0 uses the indicator weight on [0, sqrt(h)]
-    p0 = ThermalParams(h=1.21, T=0.0)
-    pt = PhysicalPoint(0.3, 0.8, 0.2, NEUMANN, p0, D=math.sqrt(1.21) / math.pi)
-    a = correlation_thermal(pt, n=64, with_error=False).value
-    b = correlation_ground(pt, n=64, with_error=False).value
-    assert abs(a - b) < 1e-10 * abs(b)
 
 
 def test_thermal_smallT_matches_ground():

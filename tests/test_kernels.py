@@ -20,7 +20,9 @@ from bosefredholm.kernels import (
     kernel_theta,
     kernel_V,
     kernel_W,
+    spectral_grid,
 )
+from bosefredholm.correlators import PhysicalPoint
 from bosefredholm.fredholm import build_grid, thermal_cut
 from bosefredholm.special_integrals import gauss_panels, pv_fresnel_hilbert, pv_fresnel_hilbert_dlam
 from bosefredholm.validate import kernel_reflection_error, theta_static_error
@@ -76,6 +78,29 @@ def test_fermi_weight_monotone():
     w = fermi_weight(lam, p)
     assert np.all(w > 0) and np.all(w < 1)
     assert np.all(np.diff(w) < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((NEUMANN, DIRICHLET)), st.floats(0.2, 3.0), st.sampled_from((0.0, 0.4, 1.5)),
+       st.floats(0.1, 2.0), st.integers(2, 40), st.booleans(),
+       st.sampled_from((1e-14, 1e-10, 1e-6)))
+def test_spectral_grid_is_the_build_grid_of_the_ensemble(kind, h, T, D, n, whole_line, tol):
+    # the Fermi sea [0, q] or [-q, q] with no weight at T = 0; at T > 0 the
+    # half line cut at thermal_cut(h, T, tol), or [-cut, cut], with the
+    # Fermi weight: bit for bit the build_grid calls of each ensemble
+    p = ThermalParams(h=h, T=T)
+    pt = PhysicalPoint(0.3, 0.8, 0.2, kind, p, D=D if T == 0.0 else 0.0)
+    quad, weight_fn = spectral_grid(p, pt.q, n, tol=tol, whole_line=whole_line)
+    if T == 0.0:
+        ref = build_grid((-pt.q, pt.q), n) if whole_line else build_grid((0.0, pt.q), n)
+        assert weight_fn is None
+    else:
+        cut = thermal_cut(h, T, tol)
+        ref = (build_grid((-cut, cut), n) if whole_line
+               else build_grid((0.0, math.inf), n, thermal=p, tol=tol))
+        assert np.array_equal(weight_fn(quad.nodes), fermi_weight(quad.nodes, p))
+    assert np.array_equal(quad.nodes, ref.nodes) and np.array_equal(quad.weights, ref.weights)
+    assert (quad.a, quad.b) == (ref.a, ref.b) and quad.truncation == ref.truncation
 
 
 def test_kernel_L_x1_zero_form():

@@ -19,6 +19,7 @@ from bosefredholm.kernels import (
     NEUMANN,
     ThermalParams,
     kernel_L,
+    spectral_grid,
 )
 from bosefredholm.nls_system import (
     LINE_BASE_WIDTH,
@@ -699,7 +700,7 @@ def test_stencil_builds_one_reciprocal_table_per_spectral_grid(monkeypatch):
 def test_stencil_builds_one_spectral_grid(monkeypatch):
     # the 41 stencil configurations are one stack on one Gauss-Legendre
     # spectral grid, not one grid per configuration
-    import bosefredholm.nls_system as nls
+    import bosefredholm.kernels as kernels
     cfg = FourPointConfig(y=(0.2, 0.7, -0.3, 0.9), t=(0.05, 0.3, 0.1, 0.6))
     grid = build_line_grid(cfg, LAX_POLICY)
     built = []
@@ -708,7 +709,7 @@ def test_stencil_builds_one_spectral_grid(monkeypatch):
         built.append(n)
         return build_grid(domain, n, *args, **kwargs)
 
-    monkeypatch.setattr(nls, "build_grid", counting)
+    monkeypatch.setattr(kernels, "build_grid", counting)
     for T in (0.0, 0.4):
         built.clear()
         _stencil(cfg, _point(T), grid)
@@ -750,7 +751,7 @@ def test_stack_equals_stacks_of_one(cfgs, T):
     import bosefredholm.nls_system as nls
     pt, n = _point(T), 8
     grid = build_line_grid(cfgs[0], _ORACLE_POLICY)
-    quad, _ = nls._spectral_grid(pt, n)
+    quad, _ = spectral_grid(pt.thermal, pt.q, n, whole_line=True)
     assert len(reciprocal_table(quad.nodes, grid.nodes)[1])     # nodes inside NEAR_BAND
     stack = nls._build_b_stack(cfgs, pt, n, grid)
     assert len(stack) == len(cfgs)
